@@ -1,13 +1,10 @@
 """The content-addressed, queryable evaluation repository.
 
-``root/<key[:2]>/<key>.json`` of :class:`TrialRecord` payloads — the
-same sharded layout, atomic-write and corruption-degrades-to-miss
-semantics as :class:`~repro.runtime.cache.ResultCache`, generalised
-from one record per cell to one record per *trial*.  Writes are
-first-write-wins (trials are pure functions of their cell spec, so a
-cross-shard duplicate compute resolves by digest comparison, never a
-silent overwrite), which makes populating one store from N shards —
-or merging two stores — commutative, associative and idempotent.
+One :class:`TrialRecord` per *trial*, where the result cache keeps one
+record per cell, under the same on-disk contract (:mod:`repro.storage`).
+Trials are pure functions of their cell spec, so first-write-wins makes
+populating one store from N shards — or merging two stores —
+commutative, associative and idempotent.
 
 :meth:`EvalStore.digest` is the determinism witness: a sha256 over the
 sorted canonical payloads, byte-identical for any worker/shard layout
@@ -17,74 +14,12 @@ that executed the same campaign.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import threading
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.evalstore.records import TrialRecord, config_digest
 from repro.faults import SEAM_STORE_CORRUPT, FaultInjector
-from repro.observability import MetricsRegistry
-
-
-class StoreStats:
-    """Thin view over the store's metrics registry (the
-    :class:`~repro.runtime.cache.CacheStats` pattern: counters live as
-    named metrics so campaign telemetry can merge them)."""
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or MetricsRegistry()
-
-    def _count(self, name: str) -> int:
-        return int(self.registry.counter(f"evalstore.{name}").value)
-
-    def record(self, name: str) -> None:
-        self.registry.counter(f"evalstore.{name}").inc()
-
-    @property
-    def hits(self) -> int:
-        return self._count("hits")
-
-    @property
-    def misses(self) -> int:
-        return self._count("misses")
-
-    @property
-    def writes(self) -> int:
-        return self._count("writes")
-
-    @property
-    def corrupt(self) -> int:
-        """Corrupt payloads detected — each read as a warned miss,
-        never an error; the chaos audit asserts this counter matches
-        the injected corruption count."""
-        return self._count("corrupt")
-
-    @property
-    def dedup_hits(self) -> int:
-        return self._count("dedup_hits")
-
-    @property
-    def dedup_conflicts(self) -> int:
-        return self._count("dedup_conflicts")
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "corrupt": self.corrupt,
-                "dedup_hits": self.dedup_hits,
-                "dedup_conflicts": self.dedup_conflicts}
-
-
-def _payload_digest(payload: str) -> str:
-    try:
-        doc = json.loads(payload)
-        record = dict(doc.get("record") or {})
-    except (json.JSONDecodeError, TypeError, AttributeError):
-        return hashlib.sha256(payload.encode()).hexdigest()
-    canon = json.dumps(record, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()
+from repro.storage import RecordFiles, StoreStats
 
 
 @dataclass
@@ -92,7 +27,8 @@ class EvalStore:
     """Sharded on-disk repository of :class:`TrialRecord` payloads."""
 
     root: Path
-    stats: StoreStats = field(default_factory=StoreStats)
+    stats: StoreStats = field(
+        default_factory=lambda: StoreStats("evalstore"))
     #: chaos hook (the ``store_corrupt`` seam): when armed, ``put`` may
     #: garble the payload bytes it writes so ``get`` detection is
     #: exercised under a seeded plan
@@ -100,86 +36,25 @@ class EvalStore:
 
     def __post_init__(self):
         self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        # shard threads in one coordinator share this store object; the
-        # lock makes the exists-check + replace in put() one atomic
-        # step in-process (cross-process writers stay safe via
-        # os.replace)
-        self._lock = threading.Lock()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        self._files = RecordFiles(
+            self.root, self.stats, seam=SEAM_STORE_CORRUPT,
+            corrupt_warning="corrupt evaluation-store entry at {path} read "
+                            "as a miss (the trial drops out of "
+                            "what-if/portfolio queries)",
+            conflict_warning="evaluation-store key {key}… was written twice "
+                             "with different payloads; keeping the first "
+                             "write (trials must be pure functions of their "
+                             "cell spec)",
+        )
 
     # -- single-record I/O -----------------------------------------------------
     def get(self, key: str) -> TrialRecord | None:
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-            record = TrialRecord.from_dict(payload["record"])
-        except FileNotFoundError:
-            self.stats.record("misses")
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, OSError):
-            # detected, counted and surfaced — a corrupt trial must
-            # read as a miss, never as an error OR a silent nothing
-            self.stats.record("corrupt")
-            self.stats.record("misses")
-            warnings.warn(
-                f"corrupt evaluation-store entry at {path} read as a "
-                f"miss (the trial drops out of what-if/portfolio "
-                f"queries)",
-                stacklevel=2,
-            )
-            return None
-        self.stats.record("hits")
-        return record
+        return self._files.get(key, TrialRecord.from_dict)
 
     def put(self, record: TrialRecord) -> bool:
-        """First write wins; returns True when bytes hit the disk.
-
-        A second put of a key holding a *valid* entry is dropped and
-        counted as ``dedup_hits``; payload digests are compared and a
-        mismatch surfaced as a warning + ``dedup_conflicts`` (trials
-        must be pure functions of their cell spec).  A corrupt
-        existing entry is repaired by overwriting it.
-        """
-        key = record.key
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps({"key": key, "record": record.as_dict()})
-        if self.fault_injector is not None:
-            payload = self.fault_injector.corrupt(
-                SEAM_STORE_CORRUPT, key, payload
-            )
-        with self._lock:
-            existing = self._read_digest(path)
-            if existing is not None:
-                self.stats.record("dedup_hits")
-                if existing != _payload_digest(payload):
-                    self.stats.record("dedup_conflicts")
-                    warnings.warn(
-                        f"evaluation-store key {key[:12]}… was written "
-                        f"twice with different payloads; keeping the "
-                        f"first write (trials must be pure functions "
-                        f"of their cell spec)",
-                        stacklevel=2,
-                    )
-                return False
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(payload)
-            os.replace(tmp, path)
-            self.stats.record("writes")
-            return True
-
-    @staticmethod
-    def _read_digest(path: Path) -> str | None:
-        try:
-            payload = path.read_text()
-            json.loads(payload)["record"]
-        except (FileNotFoundError, json.JSONDecodeError, KeyError,
-                TypeError, OSError):
-            return None
-        return _payload_digest(payload)
+        """First write wins; returns True when bytes hit the disk."""
+        return self._files.put(record.key, record.as_dict(),
+                               self.fault_injector)
 
     # -- campaign write-through ------------------------------------------------
     def ingest(self, spec, cell_key: str, trials: list[dict]) -> int:
@@ -219,7 +94,7 @@ class EvalStore:
 
     # -- enumeration and queries -----------------------------------------------
     def keys(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob("*/*.json"))
+        return self._files.keys()
 
     def records(self) -> list[TrialRecord]:
         """Every valid record, in canonical order — sorted by content
@@ -281,13 +156,10 @@ class EvalStore:
         return {"written": written, "dedup": dedup}
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return len(self._files)
 
     def clear(self) -> None:
-        for entry in self.root.glob("*/*.json"):
-            entry.unlink(missing_ok=True)
-        for orphan in self.root.glob("*/*.tmp.*"):
-            orphan.unlink(missing_ok=True)
+        self._files.clear()
 
 
 def _record_order(record: TrialRecord):

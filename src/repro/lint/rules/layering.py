@@ -3,15 +3,17 @@
 The package is stratified so that the compute stack composes strictly
 upward::
 
-    exceptions < utils < faults/metrics < models/preprocessing/datasets
-        < pipeline < energy < ensemble/metalearning/hpo < evalstore
-        < systems < devtuning < runtime/experiments/analysis < serving
-        < cli/__main__
+    exceptions < utils < faults/metrics
+        < models/preprocessing/datasets/storage < pipeline < energy
+        < ensemble/metalearning/hpo < evalstore < systems < devtuning
+        < runtime/experiments/analysis < serving < cli/__main__
 
 ``faults`` and ``observability`` sit low on purpose: the runtime,
 energy and systems layers all import their injection/tracing hooks, so
 the chaos and instrumentation subsystems must depend on nothing above
-``utils``.
+``utils``.  ``storage``, the file store under the result cache, the
+evaluation store and the artifact store, sits just above them because
+it counts on metrics and arms corruption seams.
 
 A module may import from strictly lower layers.  Two groups of
 deliberate same-layer edges are tolerated: ``preprocessing → models``
@@ -40,6 +42,7 @@ LAYERS: dict[str, int] = {
     "models": 3,
     "preprocessing": 3,
     "datasets": 3,
+    "storage": 3,
     "pipeline": 4,
     "energy": 5,
     "ensemble": 6,

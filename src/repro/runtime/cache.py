@@ -2,128 +2,27 @@
 
 Keys come from :meth:`CellSpec.cache_key` (dataset fingerprint + system
 + budget + seed + scaling + kwargs digest), so a warm cache turns a
-re-run of the same campaign into pure I/O: zero cells execute.  Entries
-are sharded two hex characters deep and written atomically
-(tmp + ``os.replace``); a corrupt or truncated entry reads as a miss,
-never as an error.
+re-run of the same campaign into pure I/O: zero cells execute.  The
+on-disk contract (sharded layout, atomic writes, corrupt entry → warned
+miss, first write wins) is :mod:`repro.storage`'s.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import threading
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.experiments.results import RunRecord
 from repro.faults import SEAM_CACHE_CORRUPT, FaultInjector
-from repro.observability import MetricsRegistry
-
-
-def _payload_digest(payload: str) -> str:
-    """Digest of a serialised entry with ``energy_source`` masked: two
-    writers racing the same pure cell may legitimately disagree only on
-    the measurement channel (a RAPL fault on one side)."""
-    try:
-        doc = json.loads(payload)
-        record = dict(doc.get("record") or {})
-    except (json.JSONDecodeError, TypeError, AttributeError):
-        return hashlib.sha256(payload.encode()).hexdigest()
-    record.pop("energy_source", None)
-    canon = json.dumps(record, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _owner_alive(suffix: str) -> bool:
-    """True when a tmp-file pid suffix names a live process — which may
-    be a sibling campaign mid-``put``.  Unparseable suffixes count as
-    dead (the file can only be junk)."""
-    if not suffix.isdigit():
-        return False
-    pid = int(suffix)
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True   # e.g. EPERM: the process exists, just isn't ours
-    return True
-
-
-class CacheStats:
-    """Thin view over the cache's metrics registry.
-
-    The counters used to be plain dataclass ints; they now live as
-    named metrics (``cache.hits`` etc.) in a
-    :class:`~repro.observability.MetricsRegistry` so the executor can
-    merge them into the campaign-wide snapshot — the old attribute
-    surface (``hits``/``misses``/``writes``/``corrupt``) is preserved
-    as read-only properties.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or MetricsRegistry()
-
-    def _count(self, name: str) -> int:
-        return int(self.registry.counter(f"cache.{name}").value)
-
-    def record(self, name: str) -> None:
-        self.registry.counter(f"cache.{name}").inc()
-
-    @property
-    def hits(self) -> int:
-        return self._count("hits")
-
-    @property
-    def misses(self) -> int:
-        return self._count("misses")
-
-    @property
-    def writes(self) -> int:
-        return self._count("writes")
-
-    @property
-    def corrupt(self) -> int:
-        return self._count("corrupt")
-
-    @property
-    def corrupt_entries(self) -> int:
-        """Corrupt payloads detected (each read as a miss, never silently
-        dropped): chaos runs assert this counter matches the injected
-        corruption count."""
-        return self.corrupt
-
-    @property
-    def dedup_hits(self) -> int:
-        """Puts dropped because an identical entry already existed —
-        the losing side of a cross-shard duplicate-compute race."""
-        return self._count("dedup_hits")
-
-    @property
-    def dedup_conflicts(self) -> int:
-        """Dedup'd puts whose payload digest did NOT match the existing
-        entry (always 0 for pure cells; anything else is a bug surfaced
-        with a warning rather than a silent overwrite)."""
-        return self._count("dedup_conflicts")
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "corrupt": self.corrupt,
-                "dedup_hits": self.dedup_hits,
-                "dedup_conflicts": self.dedup_conflicts}
+from repro.storage import RecordFiles, StoreStats
 
 
 @dataclass
 class ResultCache:
-    """``root/<key[:2]>/<key>.json`` store of :class:`RunRecord` payloads."""
+    """One :class:`RunRecord` per cell key, as a JSON-record store."""
 
     root: Path
-    stats: CacheStats = field(default_factory=CacheStats)
+    stats: StoreStats = field(default_factory=lambda: StoreStats("cache"))
     #: chaos hook: when armed, ``put`` may garble the payload bytes it
     #: writes (the ``cache_corrupt`` seam) so ``get`` detection is
     #: exercised under a seeded plan
@@ -131,105 +30,29 @@ class ResultCache:
 
     def __post_init__(self):
         self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        # shard threads in one coordinator share this cache object; the
-        # lock makes the exists-check + replace in put() one atomic step
-        # in-process (cross-process writers stay safe via os.replace)
-        self._lock = threading.Lock()
-        # a crash between tmp.write_text and os.replace strands the tmp
-        # file forever (its pid never comes back); opening the cache is
-        # the safe moment to sweep them
-        self._sweep_tmp()
-
-    def _sweep_tmp(self, *, all_owners: bool = False) -> None:
-        """Remove stranded ``*.tmp.<pid>`` files.
-
-        By default only files whose owning pid is dead are removed — a
-        live pid may be a concurrent campaign mid-``put``, and deleting
-        its tmp file would make that process's ``os.replace`` fail.
-        ``clear()`` passes ``all_owners=True``: an explicit wipe takes
-        everything.
-        """
-        for orphan in self.root.glob("*/*.tmp.*"):
-            if not all_owners and _owner_alive(orphan.name.rpartition(".")[2]):
-                continue
-            orphan.unlink(missing_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        self._files = RecordFiles(
+            self.root, self.stats, seam=SEAM_CACHE_CORRUPT,
+            # two writers racing the same pure cell may legitimately
+            # disagree only on the measurement channel (a RAPL fault on
+            # one side)
+            masked=("energy_source",),
+            corrupt_warning="corrupt cache entry at {path} read as a miss "
+                            "(the cell will re-execute)",
+            conflict_warning="cache key {key}… was written twice with "
+                             "different payloads; keeping the first write "
+                             "(cells must be pure functions of their spec)",
+        )
 
     def get(self, key: str) -> RunRecord | None:
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-            record = RunRecord(**payload["record"])
-        except FileNotFoundError:
-            self.stats.record("misses")
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, OSError):
-            # detected, counted and surfaced — a corrupt payload must
-            # read as a miss, never as an error OR a silent nothing
-            self.stats.record("corrupt")
-            self.stats.record("misses")
-            warnings.warn(
-                f"corrupt cache entry at {path} read as a miss "
-                f"(the cell will re-execute)",
-                stacklevel=2,
-            )
-            return None
-        self.stats.record("hits")
-        return record
+        return self._files.get(key, lambda record: RunRecord(**record))
 
     def put(self, key: str, record: RunRecord) -> None:
-        """First write wins.  A second ``put`` for a key that already
-        holds a *valid* entry is dropped and counted as ``dedup_hits``
-        (the cross-shard duplicate-compute race resolves here instead of
-        silently overwriting); the payload digests are compared —
-        modulo ``energy_source``, the one legitimately varying field —
-        and a mismatch is surfaced as a warning + ``dedup_conflicts``.
-        A corrupt existing entry is repaired by overwriting it.
-        """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps({"key": key, "record": asdict(record)})
-        if self.fault_injector is not None:
-            payload = self.fault_injector.corrupt(
-                SEAM_CACHE_CORRUPT, key, payload
-            )
-        with self._lock:
-            existing = self._read_digest(path)
-            if existing is not None:
-                self.stats.record("dedup_hits")
-                if existing != _payload_digest(payload):
-                    self.stats.record("dedup_conflicts")
-                    warnings.warn(
-                        f"cache key {key[:12]}… was written twice with "
-                        f"different payloads; keeping the first write "
-                        f"(cells must be pure functions of their spec)",
-                        stacklevel=2,
-                    )
-                return
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(payload)
-            os.replace(tmp, path)
-            self.stats.record("writes")
-
-    @staticmethod
-    def _read_digest(path: Path) -> str | None:
-        """Digest of the valid entry at ``path``, or None (missing or
-        corrupt — both mean the incoming put should really write)."""
-        try:
-            payload = path.read_text()
-            json.loads(payload)["record"]
-        except (FileNotFoundError, json.JSONDecodeError, KeyError,
-                TypeError, OSError):
-            return None
-        return _payload_digest(payload)
+        """First write wins; a duplicate whose payload differs beyond
+        ``energy_source`` is warned as a ``dedup_conflicts``."""
+        self._files.put(key, asdict(record), self.fault_injector)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return len(self._files)
 
     def clear(self) -> None:
-        for entry in self.root.glob("*/*.json"):
-            entry.unlink(missing_ok=True)
-        self._sweep_tmp(all_owners=True)
+        self._files.clear()

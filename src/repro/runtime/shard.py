@@ -58,7 +58,6 @@ bit-matches the fault-free serial reference.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import tempfile
 import threading
@@ -92,6 +91,7 @@ from repro.runtime.journal import (
     iter_journal_events,
 )
 from repro.runtime.progress import ProgressTracker, WorkerStats
+from repro.storage import write_atomic
 
 
 # -- paths and partitioning ----------------------------------------------------
@@ -203,10 +203,7 @@ class MergedJournal:
         output replays through :meth:`CampaignJournal.load`, re-merges
         idempotently, and feeds ``repro trace``/``--resume``."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-        tmp.write_bytes(self.canonical_bytes())
-        os.replace(tmp, path)
+        write_atomic(path, self.canonical_bytes())
         return path
 
 

@@ -8,21 +8,20 @@ fingerprint + config digest), which variant (``ensemble`` / ``refit`` /
 ``inference_kwh_per_instance`` that turns the paper's O1 (stacked
 ensembles blow up inference energy) into a routable number.
 
-The store is content-addressed like :class:`~repro.runtime.cache.ResultCache`:
-the artifact id is a sha256 over the manifest identity fields *and* the
-payload digest, sharded two hex characters deep, written atomically
-(tmp + ``os.replace``).  Corruption degrades gracefully the same way a
-corrupt cache entry does: a payload whose bytes no longer hash to the
-manifest's ``payload_digest`` (or that fails to unpickle) is detected,
-counted on the ``artifacts.corrupt`` metric, surfaced as a warning, and
-read as a **miss** — never as an error, and never silently served.
+The artifact id is a sha256 over the manifest identity fields *and*
+the payload digest, stored under the :mod:`repro.storage` contract
+(sharded layout, atomic writes, tmp sweep, unreadable entry → counted,
+warned miss).  On top of it, a payload whose bytes no longer hash to
+the manifest's ``payload_digest`` (or that fails to unpickle) is
+detected, counted on the ``artifacts.corrupt`` metric, surfaced as a
+warning, and read as a **miss** — never as an error, and never
+silently served.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -33,6 +32,15 @@ import numpy as np
 from repro.energy.machines import DEFAULT_MACHINE, JOULES_PER_KWH
 from repro.faults import SEAM_ARTIFACT_CORRUPT, FaultInjector
 from repro.observability import MetricsRegistry
+from repro.storage import (
+    StoreStats,
+    clear,
+    entries,
+    read_entry,
+    shard_path,
+    sweep_tmp,
+    write_atomic,
+)
 
 #: bump when the payload or manifest layout changes; a loader refuses
 #: artifacts from a future format instead of guessing
@@ -139,7 +147,8 @@ def compute_artifact_id(system: str, variant: str,
 
 @dataclass
 class ArtifactStore:
-    """``root/<id[:2]>/<id>.{pkl,json}`` store of deployable models."""
+    """Deployable models as ``<id>.pkl`` payloads + ``<id>.json``
+    manifests."""
 
     root: Path
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -151,14 +160,12 @@ class ArtifactStore:
     def __post_init__(self):
         self.root = Path(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
-
-    def _count(self, name: str) -> None:
-        self.registry.counter(f"artifacts.{name}").inc()
+        self._stats = StoreStats("artifacts", self.registry)
+        sweep_tmp(self.root)
 
     def _paths(self, artifact_id: str) -> tuple[Path, Path]:
-        shard = self.root / artifact_id[:2]
-        return (shard / f"{artifact_id}.pkl",
-                shard / f"{artifact_id}.json")
+        return (shard_path(self.root, artifact_id, ".pkl"),
+                shard_path(self.root, artifact_id, ".json"))
 
     # -- save ------------------------------------------------------------------
     def save(self, model, *, system: str, variant: str,
@@ -204,39 +211,27 @@ class ArtifactStore:
                 SEAM_ARTIFACT_CORRUPT, artifact_id, payload,
             )
         pkl_path, json_path = self._paths(artifact_id)
-        pkl_path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(pkl_path, payload)
-        self._write_atomic(
+        write_atomic(pkl_path, payload)
+        write_atomic(
             json_path,
             json.dumps(manifest.as_dict(), sort_keys=True).encode(),
         )
-        self._count("saved")
+        self._stats.record("saved")
         return manifest
-
-    @staticmethod
-    def _write_atomic(path: Path, payload: bytes) -> None:
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
 
     # -- load ------------------------------------------------------------------
     def load_manifest(self, artifact_id: str) -> ArtifactManifest | None:
         _, json_path = self._paths(artifact_id)
         try:
-            manifest = ArtifactManifest.from_dict(
-                json.loads(json_path.read_text())
+            return read_entry(
+                json_path,
+                lambda raw: ArtifactManifest.from_dict(json.loads(raw)),
+                self._stats, "corrupt artifact manifest at {path} read as "
+                             "a miss",
             )
         except FileNotFoundError:
-            self._count("missing")
+            self._stats.record("missing")
             return None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            self._count("corrupt")
-            warnings.warn(
-                f"corrupt artifact manifest at {json_path} read as a miss",
-                stacklevel=2,
-            )
-            return None
-        return manifest
 
     def load(self, artifact_id: str) -> LoadedArtifact | None:
         """Load + verify one artifact; corruption reads as a miss."""
@@ -244,7 +239,7 @@ class ArtifactStore:
         if manifest is None:
             return None
         if manifest.format_version > FORMAT_VERSION:
-            self._count("missing")
+            self._stats.record("missing")
             warnings.warn(
                 f"artifact {artifact_id[:12]}… uses format "
                 f"v{manifest.format_version} > v{FORMAT_VERSION}; "
@@ -254,12 +249,17 @@ class ArtifactStore:
             return None
         pkl_path, _ = self._paths(artifact_id)
         try:
-            payload = pkl_path.read_bytes()
+            payload = read_entry(
+                pkl_path, lambda raw: raw, self._stats,
+                "unreadable artifact payload at {path} read as a miss",
+            )
         except FileNotFoundError:
-            self._count("missing")
+            self._stats.record("missing")
+            return None
+        if payload is None:
             return None
         if _sha256(payload) != manifest.payload_digest:
-            self._count("corrupt")
+            self._stats.record("corrupt")
             warnings.warn(
                 f"artifact payload at {pkl_path} fails digest "
                 f"verification; read as a miss (the variant will be "
@@ -272,21 +272,21 @@ class ArtifactStore:
         except Exception:
             # digest matched but the pickle stream is unreadable (e.g.
             # saved by code that no longer exists): same graceful miss
-            self._count("corrupt")
+            self._stats.record("corrupt")
             warnings.warn(
                 f"artifact payload at {pkl_path} fails to deserialise; "
                 f"read as a miss",
                 stacklevel=2,
             )
             return None
-        self._count("loaded")
+        self._stats.record("loaded")
         return LoadedArtifact(model, manifest)
 
     # -- enumeration -----------------------------------------------------------
     def manifests(self) -> list[ArtifactManifest]:
         """All readable manifests, sorted by artifact id (stable)."""
         out = []
-        for json_path in sorted(self.root.glob("*/*.json")):
+        for json_path in sorted(entries(self.root)):
             manifest = self.load_manifest(json_path.stem)
             if manifest is not None:
                 out.append(manifest)
@@ -304,13 +304,14 @@ class ArtifactStore:
         ]
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(1 for _ in entries(self.root))
+
+    def clear(self) -> None:
+        clear(self.root, (".pkl", ".json"))
 
     def stats(self) -> dict:
-        return {
-            name: int(self.registry.counter(f"artifacts.{name}").value)
-            for name in ("saved", "loaded", "missing", "corrupt")
-        }
+        return {name: self._stats.count(name)
+                for name in ("saved", "loaded", "missing", "corrupt")}
 
 
 def export_system(store: ArtifactStore, system, dataset, *,

@@ -2,8 +2,6 @@
 
 import json
 import os
-import subprocess
-import sys
 import time
 from dataclasses import asdict
 
@@ -29,13 +27,6 @@ def _cells(systems=("TabPFN", "CAML"), datasets=("credit-g",)):
         CellSpec(system=s, dataset=d, **FAST)
         for d in datasets for s in systems
     ]
-
-
-def _dead_pid() -> int:
-    """A pid that is guaranteed not to name a live process."""
-    proc = subprocess.Popen([sys.executable, "-c", ""])
-    proc.wait()
-    return proc.pid
 
 
 def _record(**over):
@@ -114,42 +105,9 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "ab" + "0" * 62
         cache.put(key, _record())
-        cache._path(key).write_text("{not json")
+        next(tmp_path.glob("*/*.json")).write_text("{not json")
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
-
-    def test_orphaned_tmp_files_swept_on_init(self, tmp_path):
-        # a crash between tmp.write_text and os.replace strands the tmp
-        key = "ab" + "0" * 62
-        first = ResultCache(tmp_path)
-        first.put(key, _record())
-        orphan = first._path(key).with_suffix(f".tmp.{_dead_pid()}")
-        orphan.write_text("half-written payload")
-        reopened = ResultCache(tmp_path)
-        assert not orphan.exists()
-        assert reopened.get(key) == _record()   # real entries untouched
-
-    def test_live_owner_tmp_file_survives_init_sweep(self, tmp_path):
-        # a tmp file owned by a LIVE pid may be a concurrent campaign
-        # mid-put; sweeping it would break that process's os.replace
-        key = "ab" + "0" * 62
-        cache = ResultCache(tmp_path)
-        live = cache._path(key).with_suffix(f".tmp.{os.getpid()}")
-        live.parent.mkdir(parents=True, exist_ok=True)
-        live.write_text("someone else is mid-put")
-        ResultCache(tmp_path)
-        assert live.exists()
-
-    def test_clear_removes_tmp_files(self, tmp_path):
-        # clear() is an explicit wipe: even live-owner tmp files go
-        key = "ab" + "0" * 62
-        cache = ResultCache(tmp_path)
-        cache.put(key, _record())
-        orphan = cache._path(key).with_suffix(f".tmp.{os.getpid()}")
-        orphan.write_text("half-written payload")
-        cache.clear()
-        assert not orphan.exists()
-        assert len(cache) == 0
 
 
 class TestJournal:

@@ -115,6 +115,18 @@ class TestCorruption:
         with pytest.warns(UserWarning, match="manifest"):
             assert store.load(manifest.artifact_id) is None
 
+    def test_unreadable_manifest_reads_as_miss(self, store):
+        # a directory where the manifest should be is an unreadable
+        # entry: counted and warned like a garbled one, never raised
+        manifest = _save_stub(store)
+        meta = (store.root / manifest.artifact_id[:2]
+                / f"{manifest.artifact_id}.json")
+        meta.unlink()
+        meta.mkdir()
+        with pytest.warns(UserWarning, match="manifest"):
+            assert store.manifests() == []
+        assert store.stats()["corrupt"] == 1
+
     def test_missing_artifact_is_counted_not_raised(self, store):
         assert store.load("no-such-artifact") is None
         assert store.stats()["missing"] == 1
