@@ -13,6 +13,11 @@ class BudgetExhaustedError(ReproError):
     """An AutoML search ran out of its time budget mid-evaluation."""
 
 
+class BudgetBelowMinimumError(ValueError):
+    """A time budget below the system's minimum: the grid cell does not
+    exist (paper Figure 3), so campaigns skip it instead of failing it."""
+
+
 class ConfigurationError(ReproError):
     """An invalid hyperparameter configuration or search-space definition."""
 

@@ -36,6 +36,12 @@ class RunRecord:
     energy_source: str = "measured"
 
 
+#: record fields that report *how* a number was measured rather than the
+#: result itself; two runs of the same pure cell may differ only here,
+#: so cache dedup, the merge's state bytes and chaos identity mask them
+MEASUREMENT_FIELDS = ("energy_source",)
+
+
 @dataclass
 class ResultsStore:
     """A flat collection of run records with the aggregations the paper's

@@ -13,7 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.loaders import Dataset
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import (
+    BudgetBelowMinimumError,
+    ConfigurationError,
+    ReproError,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultsStore, RunRecord
 from repro.metrics.classification import balanced_accuracy_score
@@ -95,27 +99,44 @@ def run_single(
                 else "measured"
             ),
         )
+    except BudgetBelowMinimumError:
+        raise  # not a task failure: the cell simply doesn't exist
     except (ConfigurationError, ReproError, ValueError) as exc:
-        if "does not support budgets below" in str(exc):
-            raise  # not a task failure: the cell simply doesn't exist
         # unsupported task (e.g. TabPFN with >10 classes): score the prior
-        baseline = DummyClassifier().fit(dataset.X_train, dataset.y_train)
-        acc = balanced_accuracy_score(
-            dataset.y_test, baseline.predict(dataset.X_test)
+        return baseline_record(
+            system_name, dataset, budget_s, seed=seed, n_cores=n_cores,
+            use_gpu=use_gpu, note=str(exc),
         )
-        return RunRecord(
-            system=system_name,
-            dataset=dataset.name,
-            configured_seconds=budget_s,
-            seed=seed,
-            balanced_accuracy=float(acc),
-            execution_kwh=0.0,
-            actual_seconds=0.0,
-            inference_kwh_per_instance=0.0,
-            inference_seconds_per_instance=0.0,
-            failed=True,
-            note=str(exc),
-        )
+
+
+def baseline_record(system_name: str, dataset: Dataset, budget_s: float,
+                    *, seed: int, n_cores: int, use_gpu: bool,
+                    note: str) -> RunRecord:
+    """The failed cell's record: the class-prior baseline's test score,
+    zero energy, and the cell's own cores and GPU mode.
+
+    Unsupported tasks, quarantined cells and over-quota cells all
+    record this, so downstream aggregation needs no extra case.
+    """
+    baseline = DummyClassifier().fit(dataset.X_train, dataset.y_train)
+    acc = balanced_accuracy_score(
+        dataset.y_test, baseline.predict(dataset.X_test)
+    )
+    return RunRecord(
+        system=system_name,
+        dataset=dataset.name,
+        configured_seconds=budget_s,
+        seed=seed,
+        balanced_accuracy=float(acc),
+        execution_kwh=0.0,
+        actual_seconds=0.0,
+        inference_kwh_per_instance=0.0,
+        inference_seconds_per_instance=0.0,
+        n_cores=n_cores,
+        used_gpu=use_gpu,
+        failed=True,
+        note=note,
+    )
 
 
 def grid_cells(config: ExperimentConfig, *, n_cores: int = 1,
@@ -209,55 +230,36 @@ def run_grid(config: ExperimentConfig, *, n_cores: int = 1,
     eval_store = (EvalStore(eval_store_dir)
                   if eval_store_dir is not None else None)
     if shards > 1:
-        coordinator = ShardCoordinator(
+        engine = ShardCoordinator(
             shards=shards, workers=workers, cache=cache,
             journal_path=journal_path, resume=resume,
             progress_callback=callback,
             trace=trace, trace_clock=trace_clock,
             eval_store=eval_store,
         )
-        store = coordinator.run(cells)
-        if telemetry is not None:
-            if cache is not None:
-                telemetry["cache"] = cache.stats.as_dict()
-            if eval_store is not None:
-                telemetry["evalstore"] = eval_store.stats.as_dict()
-            merged = coordinator.merged
-            telemetry["pool_rebuilds"] = sum(
-                s.executor.pool_rebuilds
-                for s in coordinator._shards
-            )
-            telemetry["metrics"] = coordinator.metrics_snapshot()
-            telemetry["shards"] = {
-                sid: stats
-                for sid, stats in coordinator.tracker.shards.items()
-            }
-            telemetry["fenced_commits"] = merged.fenced_commits
-            telemetry["dedup_commits"] = merged.dedup_commits
-            if trace:
-                telemetry["spans"] = list(coordinator.cell_spans)
-        return store
-
-    executor = CampaignExecutor(
-        workers=workers,
-        cache=cache,
-        journal=(
-            CampaignJournal(journal_path)
-            if journal_path is not None else None
-        ),
-        resume=resume,
-        progress_callback=callback,
-        trace=trace, trace_clock=trace_clock,
-        eval_store=eval_store,
-    )
-    store = executor.run(cells)
+    else:
+        engine = CampaignExecutor(
+            workers=workers, cache=cache,
+            journal=(
+                CampaignJournal(journal_path)
+                if journal_path is not None else None
+            ),
+            resume=resume, progress_callback=callback,
+            trace=trace, trace_clock=trace_clock,
+            eval_store=eval_store,
+        )
+    store = engine.run(cells)
     if telemetry is not None:
-        if executor.cache is not None:
-            telemetry["cache"] = executor.cache.stats.as_dict()
+        if cache is not None:
+            telemetry["cache"] = cache.stats.as_dict()
         if eval_store is not None:
             telemetry["evalstore"] = eval_store.stats.as_dict()
-        telemetry["pool_rebuilds"] = executor.pool_rebuilds
-        telemetry["metrics"] = executor.metrics_snapshot()
+        telemetry["pool_rebuilds"] = engine.pool_rebuilds
+        telemetry["metrics"] = engine.metrics_snapshot()
+        if shards > 1:
+            telemetry["shards"] = dict(engine.tracker.shards)
+            telemetry["fenced_commits"] = engine.merged.fenced_commits
+            telemetry["dedup_commits"] = engine.merged.dedup_commits
         if trace:
-            telemetry["spans"] = list(executor.cell_spans)
+            telemetry["spans"] = list(engine.cell_spans)
     return store

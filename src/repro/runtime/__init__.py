@@ -9,13 +9,14 @@ restartable campaign engine:
 - :mod:`repro.runtime.cache` — an on-disk result cache so re-running a
   campaign only executes cells whose inputs changed;
 - :mod:`repro.runtime.journal` — an append-only JSONL checkpoint log for
-  crash-safe resume;
+  crash-safe resume, and the one replay fold (``merge_journals``) that
+  both resume and the shard merge read journals through;
 - :mod:`repro.runtime.progress` — throughput/ETA/energy telemetry;
 - :mod:`repro.runtime.executor` — the process-pool executor with
   per-cell retries and failure quarantine;
 - :mod:`repro.runtime.shard` — the fault-fenced multi-shard
-  coordinator (epoch-fenced leases, deterministic journal merge,
-  tenant quotas).
+  coordinator (epoch-fenced leases, work stealing, tenant quotas),
+  whose segments merge through the journal's fold.
 
 Because every system charges a *simulated* clock (see
 :mod:`repro.energy.train_cost`), a cell's result is a pure function of
@@ -26,18 +27,21 @@ bit-identical to the serial runner.
 from repro.runtime.cache import ResultCache
 from repro.runtime.cells import CACHE_KEY_VERSION, CellSpec
 from repro.runtime.executor import CampaignExecutor, RetryPolicy, execute_cells
-from repro.runtime.journal import CampaignJournal, JournalState
+from repro.runtime.journal import (
+    CampaignJournal,
+    JournalState,
+    MergedJournal,
+    canonical_state_bytes,
+    merge_journals,
+)
 from repro.runtime.progress import (
     ProgressEvent,
     ProgressTracker,
     ShardStats,
 )
 from repro.runtime.shard import (
-    MergedJournal,
     ShardCoordinator,
     ShardPolicy,
-    canonical_state_bytes,
-    merge_journals,
     partition_cells,
 )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.experiments.results import RunRecord
+from repro.experiments.results import MEASUREMENT_FIELDS, RunRecord
 from repro.faults import SEAM_CACHE_CORRUPT, FaultInjector
 from repro.storage import RecordFiles, StoreStats
 
@@ -35,7 +35,7 @@ class ResultCache:
             # two writers racing the same pure cell may legitimately
             # disagree only on the measurement channel (a RAPL fault on
             # one side)
-            masked=("energy_source",),
+            masked=MEASUREMENT_FIELDS,
             corrupt_warning="corrupt cache entry at {path} read as a miss "
                             "(the cell will re-execute)",
             conflict_warning="cache key {key}… was written twice with "

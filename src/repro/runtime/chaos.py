@@ -42,6 +42,7 @@ from pathlib import Path
 
 from repro.evalstore import EvalStore, mine_portfolio, whatif_ensemble
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.results import MEASUREMENT_FIELDS
 from repro.experiments.runner import grid_cells
 from repro.faults import (
     SEAM_CACHE_CORRUPT,
@@ -60,14 +61,21 @@ from repro.faults import (
 )
 from repro.observability import validate_span_tree
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import CampaignExecutor, RetryPolicy
-from repro.runtime.journal import CampaignJournal, iter_journal_events
+from repro.runtime.executor import (
+    CampaignExecutor,
+    RetryPolicy,
+    planned_worker_faults,
+)
+from repro.runtime.journal import (
+    CampaignJournal,
+    canonical_state_bytes,
+    iter_journal_events,
+    merge_journals,
+)
 from repro.runtime.shard import (
     ShardCoordinator,
     ShardPolicy,
-    canonical_state_bytes,
     coordinator_path,
-    merge_journals,
     segment_path,
 )
 
@@ -158,26 +166,9 @@ def _masked(record) -> dict:
     """A record's payload with the measurement-channel flag removed: a
     RAPL fault changes ``energy_source``, nothing else may differ."""
     payload = asdict(record)
-    payload.pop("energy_source", None)
+    for name in MEASUREMENT_FIELDS:
+        payload.pop(name, None)
     return payload
-
-
-def _replay_ledger(plan: FaultPlan, keys) -> list[tuple[str, str]]:
-    """Re-derive the worker-seam fault ledger from a plan and the set of
-    submission keys, mirroring the executor's short-circuit order."""
-    events = []
-    for key in sorted(keys):
-        if plan.decide(SEAM_WORKER_DEATH, key):
-            events.append((SEAM_WORKER_DEATH, key))
-            continue
-        if plan.decide(SEAM_SLOW_CELL, key):
-            events.append((SEAM_SLOW_CELL, key))
-        if plan.decide(SEAM_CELL_ERROR, key):
-            events.append((SEAM_CELL_ERROR, key))
-            continue
-        if plan.decide(SEAM_RAPL_READ, key):
-            events.append((SEAM_RAPL_READ, key))
-    return sorted(events)
 
 
 def _await_worker_exit(pids, deadline_s: float = 3.0) -> list[int]:
@@ -405,7 +396,8 @@ def run_chaos_campaign(
     # -- determinism: the journal header replays the exact ledger -------------
     header_plan = (FaultPlan.from_dict(state.fault_plan)
                    if state.fault_plan else None)
-    replayed = (_replay_ledger(header_plan, executor._planned)
+    replayed = (sorted(event for key in executor._planned
+                       for event in planned_worker_faults(header_plan, key))
                 if header_plan is not None else None)
     check(ChaosCheck(
         "deterministic-plan",

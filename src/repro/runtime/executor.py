@@ -1,7 +1,7 @@
 """The campaign executor: cache -> journal -> (pool of) workers.
 
-``workers=1`` runs cells in-process, in order — byte-for-byte the old
-serial runner.  ``workers>1`` streams cells through one persistent
+``workers=1`` runs cells in-process, in order.  ``workers>1`` streams
+cells through one persistent
 :class:`~concurrent.futures.ProcessPoolExecutor`; because every cell is
 a pure function of its :class:`CellSpec` (budget accounting runs on the
 simulated clock), the pooled results are identical to the serial ones —
@@ -29,14 +29,19 @@ The pooled scheduler is completion-order streaming:
 
 Failure handling, outermost to innermost:
 
-- a budget below the system's minimum *skips* the cell (the cell does
-  not exist in the grid, mirroring the paper's Figure 3);
+- a budget below the system's minimum
+  (:class:`~repro.exceptions.BudgetBelowMinimumError`) *skips* the cell
+  (the cell does not exist in the grid, mirroring the paper's Figure 3);
 - :func:`run_single` already degrades unsupported tasks to the
   class-prior baseline record;
 - anything escaping that (worker crash, timeout, pickling trouble) is
-  retried ``max_retries`` times with backoff, then *quarantined*: the
-  cell is recorded as a failed prior-baseline record so one pathological
-  cell cannot sink a multi-hour campaign.
+  retried ``max_retries`` times with backoff, the cell rejoining the
+  back of the queue each time, then *quarantined*: the cell is recorded
+  as a failed prior-baseline record so one pathological cell cannot
+  sink a multi-hour campaign.
+
+Serial and pooled runs settle every finished attempt through one
+method, :meth:`CampaignExecutor._settle`.
 
 Per-cell timeouts are enforced in pooled mode only — a single-process
 run has no supervisor to interrupt it.
@@ -67,9 +72,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.datasets.loaders import Dataset, dataset_cache_hits, load_dataset
+from repro.datasets.loaders import dataset_cache_hits, load_dataset
 from repro.evalstore.capture import install_capture, uninstall_capture
+from repro.exceptions import BudgetBelowMinimumError
 from repro.experiments.results import ResultsStore, RunRecord
+from repro.experiments.runner import baseline_record
 from repro.faults import (
     SEAM_CELL_ERROR,
     SEAM_RAPL_READ,
@@ -79,8 +86,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
 )
-from repro.metrics.classification import balanced_accuracy_score
-from repro.models.dummy import DummyClassifier
 from repro.observability import (
     MetricsRegistry,
     Tracer,
@@ -92,11 +97,6 @@ from repro.observability import (
 from repro.observability.tracing import CLOCK_WALL, make_span
 from repro.runtime.cells import CellSpec
 from repro.runtime.progress import ProgressTracker
-
-#: substring marking "this cell does not exist in the grid" (the system
-#: registry hides min budgets behind factory lambdas, so the exception
-#: message is the one uniform signal)
-_MIN_BUDGET_MARKER = "does not support budgets below"
 
 #: how many futures may be in flight per *available* worker; 2 keeps a
 #: submission queued behind every busy worker without ballooning memory
@@ -175,31 +175,6 @@ class _Pending:
     submitted_at: float | None = None
 
 
-def _baseline_record(spec: CellSpec, dataset: Dataset,
-                     note: str) -> RunRecord:
-    """Quarantine fallback: the same class-prior record run_single emits
-    for unsupported tasks, so downstream aggregation needs no new case."""
-    baseline = DummyClassifier().fit(dataset.X_train, dataset.y_train)
-    acc = balanced_accuracy_score(
-        dataset.y_test, baseline.predict(dataset.X_test)
-    )
-    return RunRecord(
-        system=spec.system,
-        dataset=spec.dataset,
-        configured_seconds=spec.budget_s,
-        seed=spec.seed,
-        balanced_accuracy=float(acc),
-        execution_kwh=0.0,
-        actual_seconds=0.0,
-        inference_kwh_per_instance=0.0,
-        inference_seconds_per_instance=0.0,
-        n_cores=spec.n_cores,
-        used_gpu=spec.use_gpu,
-        failed=True,
-        note=note,
-    )
-
-
 #: worker-side start-event channel, installed by the pool initializer
 _START_CHANNEL = None
 
@@ -220,6 +195,27 @@ def _fault_key(spec: CellSpec, attempt: int) -> str:
     hears back about (a worker that ``os._exit``-ed mid-cell).
     """
     return f"{spec.label()}#a{attempt}"
+
+
+def planned_worker_faults(plan: FaultPlan, key: str) -> list[tuple[str, str]]:
+    """The worker-side faults the submission ``key`` fires under ``plan``.
+
+    Follows the worker's check order in :func:`_execute_cell_inner`:
+    death short-circuits the rest, a stall may precede an injected cell
+    error, and an injected cell error prevents the RAPL probe.  A pure
+    function of ``(plan, key)``, so the parent can account for faults a
+    worker never reports and a journal-header plan replays the ledger.
+    """
+    if plan.decide(SEAM_WORKER_DEATH, key):
+        return [(SEAM_WORKER_DEATH, key)]
+    events = []
+    if plan.decide(SEAM_SLOW_CELL, key):
+        events.append((SEAM_SLOW_CELL, key))
+    if plan.decide(SEAM_CELL_ERROR, key):
+        events.append((SEAM_CELL_ERROR, key))
+    elif plan.decide(SEAM_RAPL_READ, key):
+        events.append((SEAM_RAPL_READ, key))
+    return events
 
 
 def _error_outcome(failure: FailureRecord, error: str | None = None,
@@ -347,14 +343,9 @@ def _execute_cell_inner(spec: CellSpec, token: int | None,
             system_kwargs=spec.system_kwargs,
             energy_meter=energy_meter,
         )
-    except ValueError as exc:
-        if _MIN_BUDGET_MARKER in str(exc):
-            return {"status": "skip", "note": str(exc), "pid": os.getpid(),
-                    "warm_hits": dataset_cache_hits()}
-        return _error_outcome(
-            FailureRecord.from_exception(exc, seam="cell", attempt=attempt),
-            error=traceback.format_exc(), injector=injector,
-        )
+    except BudgetBelowMinimumError as exc:
+        return {"status": "skip", "note": str(exc), "pid": os.getpid(),
+                "warm_hits": dataset_cache_hits()}
     except Exception as exc:
         return _error_outcome(
             FailureRecord.from_exception(exc, seam="cell", attempt=attempt),
@@ -528,30 +519,15 @@ class CampaignExecutor:
             self.eval_store.fault_injector = injector
 
     def _plan_worker_faults(self, item: _Pending) -> None:
-        """Account the worker-side faults this submission will fire.
-
-        Mirrors the worker's check order (death short-circuits the rest;
-        an injected cell error prevents the RAPL probe) so the ledger
-        matches what actually happens, even for a worker that dies
-        before it can report back.
-        """
+        """Account the worker-side faults this submission will fire,
+        even for a worker that dies before it can report back."""
         if self.fault_plan is None:
             return
         key = _fault_key(item.spec, item.attempts)
         if key in self._planned:
             return   # a cancelled/requeued submission re-runs the same key
         self._planned.add(key)
-        plan = self.fault_plan
-        if plan.decide(SEAM_WORKER_DEATH, key):
-            self.fault_events.append((SEAM_WORKER_DEATH, key))
-            return
-        if plan.decide(SEAM_SLOW_CELL, key):
-            self.fault_events.append((SEAM_SLOW_CELL, key))
-        if plan.decide(SEAM_CELL_ERROR, key):
-            self.fault_events.append((SEAM_CELL_ERROR, key))
-            return
-        if plan.decide(SEAM_RAPL_READ, key):
-            self.fault_events.append((SEAM_RAPL_READ, key))
+        self.fault_events.extend(planned_worker_faults(self.fault_plan, key))
 
     @property
     def fault_counts(self) -> dict[str, int]:
@@ -737,12 +713,13 @@ class CampaignExecutor:
                     worker: int | None = None) -> None:
         self.metrics.counter("cells.quarantined").inc()
         record = self._coerce_failure(failure, item.attempts)
-        dataset = load_dataset(item.spec.dataset)
-        note = record.to_note(item.attempts)
-        self._commit(
-            item, _baseline_record(item.spec, dataset, note),
-            results, worker,
+        spec = item.spec
+        baseline = baseline_record(
+            spec.system, load_dataset(spec.dataset), spec.budget_s,
+            seed=spec.seed, n_cores=spec.n_cores, use_gpu=spec.use_gpu,
+            note=record.to_note(item.attempts),
         )
+        self._commit(item, baseline, results, worker)
 
     def _backoff(self, item: _Pending) -> None:
         if self.policy.retry_backoff_s > 0:
@@ -757,43 +734,60 @@ class CampaignExecutor:
             return FailureRecord.from_dict(payload)
         return outcome.get("error", "")
 
-    # -- serial path (workers=1): the old runner, cell by cell ----------------
+    def _settle(self, item: _Pending, outcome: dict, results, todo,
+                started: float | None = None) -> None:
+        """Act on one finished attempt: commit an ``ok`` record, journal
+        a ``skip``, or requeue/quarantine an ``error`` — the one place
+        an outcome's status is read, for serial and pooled runs alike.
+
+        ``started`` is the worker-reported start stamp (pooled only: a
+        serial cell starts when it is submitted, so its span tree gets
+        no ``queue_wait`` child).
+        """
+        spans = self._absorb(outcome)
+        status = outcome["status"]
+        self._emit_spans(
+            item, spans, status,
+            submitted=item.submitted_at, started=started,
+            finished=self._stamp(),
+        )
+        if status == "ok":
+            self._commit(
+                item, RunRecord(**outcome["record"]), results,
+                outcome.get("pid"), outcome.get("warm_hits"),
+                trials=outcome.get("trials"),
+            )
+        elif status == "skip":
+            self._commit_skip(item, outcome["note"])
+        else:
+            self._requeue_or_quarantine(
+                item, results, todo, self._outcome_failure(outcome),
+                outcome.get("pid"),
+            )
+
+    def _requeue_or_quarantine(self, item, results, todo, failure,
+                               worker=None) -> None:
+        """Journal a failed attempt, then send the cell to the back of
+        ``todo`` for another try or, out of retries, quarantine it."""
+        record = self._note_failure(item, failure)
+        if self._exhausted(item):
+            self._quarantine(item, results, record, worker)
+        else:
+            self._backoff(item)
+            todo.append(item)
+
+    # -- serial path (workers=1): in-process, cell by cell --------------------
     def _run_serial(self, pending: list[_Pending], results) -> None:
-        for item in pending:
-            while True:
-                self._plan_worker_faults(item)
-                submitted = self._stamp()
-                outcome = _execute_cell(
-                    item.spec, None, self._plan_dict, item.attempts,
-                    self._trace_mode, self._capture,
-                )
-                finished = self._stamp()
-                spans = self._absorb(outcome)
-                # no queue in serial mode: submit and start coincide,
-                # so no queue_wait child is emitted (started=None)
-                self._emit_spans(
-                    item, spans, outcome["status"],
-                    submitted=submitted, finished=finished,
-                )
-                if outcome["status"] == "ok":
-                    self._commit(
-                        item, RunRecord(**outcome["record"]), results,
-                        outcome.get("pid"), outcome.get("warm_hits"),
-                        trials=outcome.get("trials"),
-                    )
-                    break
-                if outcome["status"] == "skip":
-                    self._commit_skip(item, outcome["note"])
-                    break
-                failure = self._note_failure(
-                    item, self._outcome_failure(outcome)
-                )
-                if self._exhausted(item):
-                    self._quarantine(
-                        item, results, failure, outcome.get("pid"),
-                    )
-                    break
-                self._backoff(item)
+        todo: deque[_Pending] = deque(pending)
+        while todo:
+            item = todo.popleft()
+            self._plan_worker_faults(item)
+            item.submitted_at = self._stamp()
+            outcome = _execute_cell(
+                item.spec, None, self._plan_dict, item.attempts,
+                self._trace_mode, self._capture,
+            )
+            self._settle(item, outcome, results, todo)
 
     # -- pooled path (workers>1): completion-order streaming ------------------
     def _run_pooled(self, pending: list[_Pending], results) -> None:
@@ -859,7 +853,8 @@ class CampaignExecutor:
                     for future in done:
                         token, item = inflight.pop(future)
                         started = starts.pop(token, None)
-                        self._settle(future, item, results, todo, started)
+                        self._settle_future(future, item, results, todo,
+                                            started)
                 except BrokenProcessPool:
                     # the pool is dead — but futures that completed
                     # before the break still carry real results; commit
@@ -867,22 +862,17 @@ class CampaignExecutor:
                     for future, (token, item) in list(inflight.items()):
                         if future.done() and not future.cancelled():
                             try:
-                                self._settle(
+                                self._settle_future(
                                     future, item, results, todo,
                                     starts.get(token),
                                 )
                             except BrokenProcessPool:
-                                pass   # _settle already requeued it
+                                pass   # _settle_future already requeued it
                         else:
-                            self._emit_spans(
-                                item, None, "pool_error",
-                                submitted=item.submitted_at,
-                                started=starts.get(token),
-                                finished=self._stamp(),
-                            )
-                            self._requeue_or_quarantine(
+                            self._settle_lost(
                                 item, results, todo,
                                 self._pool_death_failure(item),
+                                started=starts.get(token),
                             )
                     inflight.clear()
                     starts.clear()
@@ -981,9 +971,10 @@ class CampaignExecutor:
             attempt=item.attempts + 1, message="worker process died",
         )
 
-    def _settle(self, future, item, results, todo,
-                started: float | None = None) -> None:
-        """Commit one completed future (any terminal state but timeout).
+    def _settle_future(self, future, item, results, todo,
+                       started: float | None = None) -> None:
+        """Unwrap one completed future and settle its outcome (any
+        terminal state but timeout).
 
         ``started`` is the worker-reported start stamp (same monotonic
         domain as the policy clock by default); together with the
@@ -999,57 +990,35 @@ class CampaignExecutor:
         try:
             outcome = future.result()
         except BrokenProcessPool:
-            self._emit_spans(
-                item, None, "pool_error",
-                submitted=item.submitted_at, started=started,
-                finished=self._stamp(),
-            )
             # mark this cell before the caller requeues the siblings
-            self._requeue_or_quarantine(
-                item, results, todo, self._pool_death_failure(item)
-            )
+            self._settle_lost(item, results, todo,
+                              self._pool_death_failure(item),
+                              started=started)
             raise
         except Exception as exc:   # pickling trouble, pool teardown races
-            self._emit_spans(
-                item, None, "pool_error",
-                submitted=item.submitted_at, started=started,
-                finished=self._stamp(),
-            )
-            self._requeue_or_quarantine(
+            self._settle_lost(
                 item, results, todo,
                 FailureRecord.from_exception(
                     exc, seam="submit", attempt=item.attempts + 1,
                 ),
+                started=started,
             )
             return
-        spans = self._absorb(outcome)
-        self._emit_spans(
-            item, spans, outcome["status"],
-            submitted=item.submitted_at, started=started,
-            finished=self._stamp(),
-        )
-        if outcome["status"] == "ok":
-            self._commit(
-                item, RunRecord(**outcome["record"]), results,
-                outcome.get("pid"), outcome.get("warm_hits"),
-                trials=outcome.get("trials"),
-            )
-        elif outcome["status"] == "skip":
-            self._commit_skip(item, outcome["note"])
-        else:
-            self._requeue_or_quarantine(
-                item, results, todo, self._outcome_failure(outcome),
-                outcome.get("pid"),
-            )
+        self._settle(item, outcome, results, todo, started)
 
-    def _requeue_or_quarantine(self, item, results, todo, failure,
-                               worker=None) -> None:
-        record = self._note_failure(item, failure)
-        if self._exhausted(item):
-            self._quarantine(item, results, record, worker)
-        else:
-            self._backoff(item)
-            todo.append(item)
+    def _settle_lost(self, item, results, todo, failure, *,
+                     status: str = "pool_error",
+                     started: float | None = None,
+                     finished: float | None = None) -> None:
+        """Settle an attempt that returned no outcome (pool death, a
+        lost future, a timeout): its span tree, then requeue or
+        quarantine."""
+        self._emit_spans(
+            item, None, status,
+            submitted=item.submitted_at, started=started,
+            finished=finished if finished is not None else self._stamp(),
+        )
+        self._requeue_or_quarantine(item, results, todo, failure)
 
     def _expire_deadlines(self, inflight, starts, abandoned, results,
                           todo) -> None:
@@ -1072,12 +1041,7 @@ class CampaignExecutor:
             starts.pop(token, None)
             abandoned.add(future)
             self.metrics.counter("cells.timeouts").inc()
-            self._emit_spans(
-                item, None, "timeout",
-                submitted=item.submitted_at, started=stamp,
-                finished=now,
-            )
-            self._requeue_or_quarantine(
+            self._settle_lost(
                 item, results, todo,
                 FailureRecord(
                     error_type="CellTimeout", seam="timeout",
@@ -1085,6 +1049,7 @@ class CampaignExecutor:
                     message=(f"cell timeout: exceeded {timeout:g}s "
                              f"after start"),
                 ),
+                status="timeout", started=stamp, finished=now,
             )
 
 

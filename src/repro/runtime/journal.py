@@ -24,10 +24,22 @@ Event types::
 
 A journal opened with ``shard=<k>`` is a *shard segment*: every event it
 appends is additionally stamped with ``"shard"`` and ``"epoch"`` (the
-shard's current lease epoch, bumped on resurrection) so
-:func:`repro.runtime.shard.merge_journals` can fold N segments into one
-:class:`JournalState` and resolve fenced-epoch duplicates.  Serial
-journals (``shard=None``) are byte-for-byte what they always were.
+shard's current lease epoch, bumped on resurrection) so fenced-epoch
+duplicates stay distinguishable.  Serial journals (``shard=None``) are
+byte-for-byte what they always were.
+
+Replay is one fold, :func:`merge_journals`, over one journal or many
+segments; :meth:`CampaignJournal.load` is that fold over a single path.
+Its rules hold for every reader:
+
+- the first commit per cache key by (attempt, shard, epoch, content)
+  wins, and commits under a fenced epoch lose to live ones;
+- failures and spans come out in content order (event rank, index,
+  key, attempt, ...), never file order;
+- metrics snapshots are folded with
+  :func:`~repro.observability.merge_snapshots`;
+- ``n_cells`` is the largest header value and the fault plan the first
+  header plan by content.
 
 ``spans`` and ``metrics`` are observability records (written only when
 the executor runs with tracing enabled): span trees per executed cell
@@ -50,15 +62,17 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.experiments.results import RunRecord
+from repro.experiments.results import MEASUREMENT_FIELDS, RunRecord
 from repro.faults import SEAM_JOURNAL_TORN, FailureRecord, FaultInjector
+from repro.observability import merge_snapshots
+from repro.storage import write_atomic
 
 
 def iter_journal_events(path) -> tuple[list[dict], int]:
     """Leniently parse one JSONL journal into ``(events, skipped_lines)``.
 
-    The tolerance contract shared by :meth:`CampaignJournal.load` and
-    :func:`repro.runtime.shard.merge_journals`: a torn *final* line (the
+    The tolerance contract of :func:`merge_journals` (and so of
+    :meth:`CampaignJournal.load`): a torn *final* line (the
     crash/shard-death artefact) is silently ignored; a corrupt line
     anywhere earlier is counted in ``skipped_lines`` so the replay keeps
     going instead of truncating everything after the damage.
@@ -99,9 +113,10 @@ class JournalState:
     #: final line means the file was damaged, not just cut short
     skipped_lines: int = 0
     #: replayed observability records: one ``spans`` event dict per
-    #: traced cell attempt, byte-identical to what was appended
+    #: traced cell attempt, byte-identical to what was appended, in
+    #: content (index, then attempt) order
     spans: list[dict] = field(default_factory=list)
-    #: the last ``metrics`` snapshot the campaign journalled, if any
+    #: every journalled ``metrics`` snapshot folded into one, if any
     metrics: dict | None = None
 
     def __len__(self) -> int:
@@ -252,39 +267,16 @@ class CampaignJournal:
     # -- replay ----------------------------------------------------------------
     @classmethod
     def load(cls, path) -> JournalState:
-        """Replay a journal, tolerating exactly one torn *final* line.
+        """Replay a journal: :func:`merge_journals` over ``[path]``.
 
         A crash mid-append tears the last line — that is expected and
         silently ignored.  A corrupt line anywhere *earlier* is real
-        damage; stopping the replay there (as this used to do) would
-        silently re-execute every later completed cell, so instead the
-        bad line is skipped, counted on ``JournalState.skipped_lines``
-        and reported with a warning.
+        damage; stopping the replay there would silently re-execute
+        every later completed cell, so instead the bad line is skipped,
+        counted on ``JournalState.skipped_lines`` and reported with a
+        warning.
         """
-        state = JournalState()
-        events, state.skipped_lines = iter_journal_events(path)
-        for event in events:
-            kind = event["type"]
-            if kind == "campaign":
-                state.n_cells = event.get("n_cells")
-                state.fault_plan = event.get("fault_plan")
-            elif kind == "cell":
-                try:
-                    record = RunRecord(**event["record"])
-                except (KeyError, TypeError):
-                    # parseable JSON with a malformed record payload is
-                    # damage, not a torn tail: count and keep replaying
-                    state.skipped_lines += 1
-                    continue
-                state.completed[event["key"]] = record
-            elif kind == "skip":
-                state.skipped.add(event["key"])
-            elif kind == "failure":
-                state.failures.append(event)
-            elif kind == "spans":
-                state.spans.append(event)
-            elif kind == "metrics":
-                state.metrics = event.get("snapshot")
+        state = merge_journals([path]).state
         if state.skipped_lines:
             warnings.warn(
                 f"journal {path} has {state.skipped_lines} corrupt "
@@ -293,3 +285,235 @@ class CampaignJournal:
                 stacklevel=2,
             )
         return state
+
+
+# -- the replay fold -----------------------------------------------------------
+#: canonical event ordering in a merged journal (then per-event keys)
+_EVENT_RANK = {
+    "campaign": 0, "shards": 1, "fence": 2, "assign": 3,
+    "cell": 4, "skip": 4, "failure": 5, "spans": 6, "lease": 7,
+    "metrics": 8,
+}
+
+
+def _event_sort_key(event: dict):
+    """A total, content-only order: merging is commutative because the
+    final event sequence never depends on input file order."""
+    shard = event.get("shard")
+    return (
+        _EVENT_RANK.get(event.get("type"), 9),
+        int(event.get("index", -1)),
+        str(event.get("key", "")),
+        int(event.get("attempt", 0)),
+        int(shard) if isinstance(shard, int) else -1,
+        int(event.get("epoch", 0)),
+        int(event.get("beat", -1)),
+        int(event.get("fenced_shard", -1)),
+        int(event.get("fenced_epoch", -1)),
+        json.dumps(event, sort_keys=True),
+    )
+
+
+def _commit_rank(event: dict):
+    """First-write-wins by attempt, then (shard, epoch) as the total
+    tiebreak — pure content, no file positions."""
+    shard = event.get("shard")
+    return (
+        int(event.get("attempt", 0)),
+        int(shard) if isinstance(shard, int) else -1,
+        int(event.get("epoch", 0)),
+        json.dumps(event, sort_keys=True),
+    )
+
+
+def _is_fenced(event: dict, fenced: set) -> bool:
+    shard = event.get("shard")
+    if not isinstance(shard, int):
+        return False   # coordinator/serial events are never fenced
+    return (shard, int(event.get("epoch", 0))) in fenced
+
+
+@dataclass
+class MergedJournal:
+    """The deterministic fold of N journal segments."""
+
+    state: JournalState
+    #: duplicate commits resolved against a fenced epoch
+    fenced_commits: int = 0
+    #: duplicate commits between live epochs (steal/straggler races)
+    dedup_commits: int = 0
+    #: the canonical event sequence (what :meth:`write` persists)
+    events: list[dict] = field(default_factory=list)
+    #: per-shard summary: epochs seen and heartbeat count
+    shards: dict[int, dict] = field(default_factory=dict)
+    #: fenced (shard, epoch) pairs recorded by the coordinator
+    fenced_epochs: list[tuple[int, int]] = field(default_factory=list)
+
+    def canonical_bytes(self) -> bytes:
+        return "".join(
+            json.dumps(event) + "\n" for event in self.events
+        ).encode("utf-8")
+
+    def write(self, path) -> Path:
+        """Persist the canonical merged journal (atomically): the
+        output replays through :meth:`CampaignJournal.load`, re-merges
+        idempotently, and feeds ``repro trace``/``--resume``."""
+        path = Path(path)
+        write_atomic(path, self.canonical_bytes())
+        return path
+
+
+def canonical_state_bytes(state: JournalState, *,
+                          mask_energy_source: bool = False) -> bytes:
+    """A byte-stable projection of a journal state's *results*.
+
+    This is the bit-identity witness: the sharded merge and the serial
+    reference must produce equal bytes.  ``mask_energy_source`` drops
+    the :data:`~repro.experiments.results.MEASUREMENT_FIELDS` (RAPL vs
+    model measurement channel — the same mask the cache dedup and chaos
+    identity checks use).
+    """
+    completed = {}
+    for key in sorted(state.completed):
+        record = asdict(state.completed[key])
+        if mask_energy_source:
+            for name in MEASUREMENT_FIELDS:
+                record.pop(name, None)
+        completed[key] = record
+    doc = {
+        "n_cells": state.n_cells,
+        "completed": completed,
+        "skipped": sorted(state.skipped),
+    }
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
+def merge_journals(paths) -> MergedJournal:
+    """Fold journal segments into one deterministic campaign journal.
+
+    Properties (pinned by the Hypothesis suite in
+    ``tests/test_shard_merge.py``):
+
+    - **commutative**: any permutation of ``paths`` merges to the same
+      canonical bytes;
+    - **associative**: merging a written merge with the remaining
+      segments equals merging everything at once (states equal;
+      fenced/dedup counters are per-merge diagnostics and reset);
+    - **idempotent**: re-merging a merged journal is a fixed point;
+    - **tolerant**: a torn final line per segment is ignored; a corrupt
+      middle line, or a parseable commit whose record payload is
+      malformed, is counted in ``state.skipped_lines``.
+    """
+    all_events: list[dict] = []
+    skipped_lines = 0
+    for path in paths:
+        events, skipped = iter_journal_events(path)
+        skipped_lines += skipped
+        all_events.extend(events)
+
+    fenced: set[tuple[int, int]] = set()
+    for event in all_events:
+        if event.get("type") == "fence":
+            fenced.add((int(event["fenced_shard"]),
+                        int(event["fenced_epoch"])))
+
+    state = JournalState()
+    state.skipped_lines = skipped_lines
+    merged = MergedJournal(state=state,
+                           fenced_epochs=sorted(fenced))
+
+    headers = [e for e in all_events if e.get("type") == "campaign"]
+    if headers:
+        n_cells = [h.get("n_cells") for h in headers
+                   if h.get("n_cells") is not None]
+        state.n_cells = max(n_cells) if n_cells else None
+        plans = sorted(
+            (h["fault_plan"] for h in headers if h.get("fault_plan")),
+            key=lambda p: json.dumps(p, sort_keys=True),
+        )
+        state.fault_plan = plans[0] if plans else None
+        header: dict = {"type": "campaign", "n_cells": state.n_cells}
+        if state.fault_plan is not None:
+            header["fault_plan"] = state.fault_plan
+        merged.events.append(header)
+
+    # -- resolve commits (cell + skip) per key --------------------------------
+    commits: dict[str, list[tuple[dict, RunRecord]]] = {}
+    skips: dict[str, list[tuple[dict, None]]] = {}
+    rest: list[dict] = []
+    for event in all_events:
+        kind = event.get("type")
+        if kind == "cell":
+            try:
+                record = RunRecord(**event["record"])
+                key = event["key"]
+            except (KeyError, TypeError):
+                state.skipped_lines += 1   # parseable line, torn payload
+                continue
+            commits.setdefault(key, []).append((event, record))
+        elif kind == "skip":
+            skips.setdefault(event["key"], []).append((event, None))
+        elif kind != "campaign":
+            rest.append(event)
+
+    def resolve(candidates):
+        if len(candidates) == 1:
+            return candidates[0]
+        live = [c for c in candidates if not _is_fenced(c[0], fenced)]
+        winner = min(live or candidates, key=lambda c: _commit_rank(c[0]))
+        for candidate in candidates:
+            if candidate is winner:
+                continue
+            if _is_fenced(candidate[0], fenced):
+                merged.fenced_commits += 1
+            else:
+                merged.dedup_commits += 1
+        return winner
+
+    winners: list[dict] = []
+    for key, candidates in commits.items():
+        event, record = resolve(candidates)
+        state.completed[key] = record
+        winners.append(event)
+    for key, candidates in skips.items():
+        if key in state.completed:
+            # a skip racing a commit for the same key cannot happen for
+            # pure cells; prefer the committed record, count the dup
+            merged.dedup_commits += len(candidates)
+            continue
+        winners.append(resolve(candidates)[0])
+        state.skipped.add(key)
+
+    metrics_snaps = []
+    for event in rest:
+        kind = event.get("type")
+        if kind == "metrics":
+            metrics_snaps.append(event.get("snapshot") or {})
+        elif kind == "lease":
+            shard = event.get("shard")
+            if isinstance(shard, int):
+                row = merged.shards.setdefault(
+                    shard, {"epochs": set(), "beats": 0},
+                )
+                row["epochs"].add(int(event.get("epoch", 0)))
+                row["beats"] += 1
+    if metrics_snaps:
+        folded: dict = {}
+        for snap in metrics_snaps:
+            folded = merge_snapshots(folded, snap)
+        state.metrics = folded
+    for row in merged.shards.values():
+        row["epochs"] = sorted(row["epochs"])
+
+    ordered = sorted(
+        winners + [e for e in rest if e.get("type") != "metrics"],
+        key=_event_sort_key,
+    )
+    state.failures = [e for e in ordered if e.get("type") == "failure"]
+    state.spans = [e for e in ordered if e.get("type") == "spans"]
+    merged.events.extend(ordered)
+    if state.metrics is not None:
+        merged.events.append(
+            {"type": "metrics", "snapshot": state.metrics}
+        )
+    return merged

@@ -30,15 +30,15 @@ Steal == recover
     shard and a fence differ only in ``reason``.
 
 Deterministic merge
-    :func:`merge_journals` folds N segments (+ the coordinator's own
-    journal) into one :class:`~repro.runtime.journal.JournalState`
-    that is byte-identical regardless of shard count, completion
-    order, steals or deaths.  Commits are grouped by cache key;
-    non-fenced candidates always beat fenced ones; among candidates
-    the winner is first-write-wins **by attempt** (then shard, then
-    epoch — a total, order-independent tiebreak).  Fenced losers are
-    counted as ``fenced_commits``, duplicate non-fenced commits as
-    ``dedup_commits``.
+    :func:`~repro.runtime.journal.merge_journals` — the one replay fold,
+    which lives in :mod:`repro.runtime.journal` — folds N segments (+
+    the coordinator's own journal) into one
+    :class:`~repro.runtime.journal.JournalState` that is byte-identical
+    regardless of shard count, completion order, steals or deaths.
+    Non-fenced commits beat fenced ones, and the winner per cache key
+    is first-write-wins **by attempt** (then shard, then epoch).
+    Fenced losers are counted as ``fenced_commits``, duplicate
+    non-fenced commits as ``dedup_commits``.
 
 Tenant quotas
     Admission control: each :class:`CellSpec` carries a ``tenant`` and
@@ -57,19 +57,19 @@ bit-matches the fault-free serial reference.
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 from typing import Callable
 
 from repro.datasets.loaders import load_dataset
 from repro.energy.machines import DEFAULT_MACHINE, MachineProfile
 from repro.experiments.results import ResultsStore, RunRecord
+from repro.experiments.runner import baseline_record
 from repro.faults import (
     SEAM_LEASE_EXPIRE,
     SEAM_SEGMENT_TORN,
@@ -80,18 +80,15 @@ from repro.faults import (
 )
 from repro.observability import MetricsRegistry, merge_snapshots
 from repro.runtime.cells import CellSpec
-from repro.runtime.executor import (
-    CampaignExecutor,
-    RetryPolicy,
-    _baseline_record,
-)
+from repro.runtime.executor import CampaignExecutor, RetryPolicy
 from repro.runtime.journal import (
     CampaignJournal,
     JournalState,
-    iter_journal_events,
+    MergedJournal,
+    _event_sort_key,
+    merge_journals,
 )
 from repro.runtime.progress import ProgressTracker, WorkerStats
-from repro.storage import write_atomic
 
 
 # -- paths and partitioning ----------------------------------------------------
@@ -129,241 +126,6 @@ def estimate_cell_joules(spec: CellSpec,
     cores = max(1, min(int(spec.n_cores), machine.n_cores))
     gpu = bool(spec.use_gpu and machine.gpu is not None)
     return machine.power(cores, gpu_active=gpu) * float(spec.budget_s)
-
-
-# -- deterministic journal merge -----------------------------------------------
-#: canonical event ordering in a merged journal (then per-event keys)
-_EVENT_RANK = {
-    "campaign": 0, "shards": 1, "fence": 2, "assign": 3,
-    "cell": 4, "skip": 4, "failure": 5, "spans": 6, "lease": 7,
-    "metrics": 8,
-}
-
-
-def _event_sort_key(event: dict):
-    """A total, content-only order: merging is commutative because the
-    final event sequence never depends on input file order."""
-    shard = event.get("shard")
-    return (
-        _EVENT_RANK.get(event.get("type"), 9),
-        int(event.get("index", -1)),
-        str(event.get("key", "")),
-        int(event.get("attempt", 0)),
-        int(shard) if isinstance(shard, int) else -1,
-        int(event.get("epoch", 0)),
-        int(event.get("beat", -1)),
-        int(event.get("fenced_shard", -1)),
-        int(event.get("fenced_epoch", -1)),
-        json.dumps(event, sort_keys=True),
-    )
-
-
-def _commit_rank(event: dict):
-    """First-write-wins by attempt, then (shard, epoch) as the total
-    tiebreak — pure content, no file positions."""
-    shard = event.get("shard")
-    return (
-        int(event.get("attempt", 0)),
-        int(shard) if isinstance(shard, int) else -1,
-        int(event.get("epoch", 0)),
-        json.dumps(event, sort_keys=True),
-    )
-
-
-def _is_fenced(event: dict, fenced: set) -> bool:
-    shard = event.get("shard")
-    if not isinstance(shard, int):
-        return False   # coordinator/serial events are never fenced
-    return (shard, int(event.get("epoch", 0))) in fenced
-
-
-@dataclass
-class MergedJournal:
-    """The deterministic fold of N journal segments."""
-
-    state: JournalState
-    #: duplicate commits resolved against a fenced epoch
-    fenced_commits: int = 0
-    #: duplicate commits between live epochs (steal/straggler races)
-    dedup_commits: int = 0
-    #: the canonical event sequence (what :meth:`write` persists)
-    events: list[dict] = field(default_factory=list)
-    #: per-shard summary: epochs seen and heartbeat count
-    shards: dict[int, dict] = field(default_factory=dict)
-    #: fenced (shard, epoch) pairs recorded by the coordinator
-    fenced_epochs: list[tuple[int, int]] = field(default_factory=list)
-
-    def canonical_bytes(self) -> bytes:
-        return "".join(
-            json.dumps(event) + "\n" for event in self.events
-        ).encode("utf-8")
-
-    def write(self, path) -> Path:
-        """Persist the canonical merged journal (atomically): the
-        output replays through :meth:`CampaignJournal.load`, re-merges
-        idempotently, and feeds ``repro trace``/``--resume``."""
-        path = Path(path)
-        write_atomic(path, self.canonical_bytes())
-        return path
-
-
-def canonical_state_bytes(state: JournalState, *,
-                          mask_energy_source: bool = False) -> bytes:
-    """A byte-stable projection of a journal state's *results*.
-
-    This is the bit-identity witness: the sharded merge and the serial
-    reference must produce equal bytes.  ``mask_energy_source`` drops
-    the one field allowed to differ (RAPL vs model measurement channel
-    — the same mask the cache dedup and chaos identity checks use).
-    """
-    completed = {}
-    for key in sorted(state.completed):
-        record = asdict(state.completed[key])
-        if mask_energy_source:
-            record.pop("energy_source", None)
-        completed[key] = record
-    doc = {
-        "n_cells": state.n_cells,
-        "completed": completed,
-        "skipped": sorted(state.skipped),
-    }
-    return json.dumps(doc, sort_keys=True).encode("utf-8")
-
-
-def merge_journals(paths) -> MergedJournal:
-    """Fold journal segments into one deterministic campaign journal.
-
-    Properties (pinned by the Hypothesis suite in
-    ``tests/test_shard_merge.py``):
-
-    - **commutative**: any permutation of ``paths`` merges to the same
-      canonical bytes;
-    - **associative**: merging a written merge with the remaining
-      segments equals merging everything at once (states equal;
-      fenced/dedup counters are per-merge diagnostics and reset);
-    - **idempotent**: re-merging a merged journal is a fixed point;
-    - **tolerant**: a torn final line per segment is ignored, a
-      corrupt middle line is counted in ``state.skipped_lines``.
-    """
-    all_events: list[dict] = []
-    skipped_lines = 0
-    for path in paths:
-        events, skipped = iter_journal_events(path)
-        skipped_lines += skipped
-        all_events.extend(events)
-
-    fenced: set[tuple[int, int]] = set()
-    for event in all_events:
-        if event.get("type") == "fence":
-            fenced.add((int(event["fenced_shard"]),
-                        int(event["fenced_epoch"])))
-
-    state = JournalState()
-    state.skipped_lines = skipped_lines
-    merged = MergedJournal(state=state,
-                           fenced_epochs=sorted(fenced))
-
-    headers = [e for e in all_events if e.get("type") == "campaign"]
-    if headers:
-        n_cells = [h.get("n_cells") for h in headers
-                   if h.get("n_cells") is not None]
-        state.n_cells = max(n_cells) if n_cells else None
-        plans = sorted(
-            (h["fault_plan"] for h in headers if h.get("fault_plan")),
-            key=lambda p: json.dumps(p, sort_keys=True),
-        )
-        state.fault_plan = plans[0] if plans else None
-        header: dict = {"type": "campaign", "n_cells": state.n_cells}
-        if state.fault_plan is not None:
-            header["fault_plan"] = state.fault_plan
-        merged.events.append(header)
-
-    # -- resolve commits (cell + skip) per key --------------------------------
-    commits: dict[str, list[dict]] = {}
-    skips: dict[str, list[dict]] = {}
-    rest: list[dict] = []
-    for event in all_events:
-        kind = event.get("type")
-        if kind == "cell":
-            if not isinstance(event.get("record"), dict) \
-                    or "key" not in event:
-                state.skipped_lines += 1   # parseable line, torn payload
-                continue
-            commits.setdefault(event["key"], []).append(event)
-        elif kind == "skip":
-            skips.setdefault(event["key"], []).append(event)
-        elif kind == "campaign":
-            continue
-        else:
-            rest.append(event)
-
-    def resolve(candidates: list[dict]) -> dict | None:
-        live = [c for c in candidates if not _is_fenced(c, fenced)]
-        pool = live or candidates
-        winner = min(pool, key=_commit_rank)
-        merged.fenced_commits += sum(
-            1 for c in candidates
-            if c is not winner and _is_fenced(c, fenced)
-        )
-        merged.dedup_commits += sum(
-            1 for c in candidates
-            if c is not winner and not _is_fenced(c, fenced)
-        )
-        return winner
-
-    winners: list[dict] = []
-    for key, candidates in commits.items():
-        winner = resolve(candidates)
-        try:
-            record = RunRecord(**winner["record"])
-        except (KeyError, TypeError):
-            state.skipped_lines += 1
-            continue
-        state.completed[key] = record
-        winners.append(winner)
-    for key, candidates in skips.items():
-        if key in state.completed:
-            # a skip racing a commit for the same key cannot happen for
-            # pure cells; prefer the committed record, count the dup
-            merged.dedup_commits += len(candidates)
-            continue
-        winners.append(resolve(candidates))
-        state.skipped.add(key)
-
-    metrics_snaps = []
-    for event in rest:
-        kind = event.get("type")
-        if kind == "failure":
-            state.failures.append(event)
-        elif kind == "spans":
-            state.spans.append(event)
-        elif kind == "metrics":
-            metrics_snaps.append(event.get("snapshot") or {})
-        elif kind == "lease":
-            shard = event.get("shard")
-            if isinstance(shard, int):
-                row = merged.shards.setdefault(
-                    shard, {"epochs": set(), "beats": 0},
-                )
-                row["epochs"].add(int(event.get("epoch", 0)))
-                row["beats"] += 1
-    if metrics_snaps:
-        folded: dict = {}
-        for snap in metrics_snaps:
-            folded = merge_snapshots(folded, snap)
-        state.metrics = folded
-    for row in merged.shards.values():
-        row["epochs"] = sorted(row["epochs"])
-
-    state.failures.sort(key=_event_sort_key)
-    state.spans.sort(key=_event_sort_key)
-    tail = [e for e in rest if e.get("type") != "metrics"]
-    merged.events.extend(sorted(winners + tail, key=_event_sort_key))
-    if state.metrics is not None:
-        merged.events.append(
-            {"type": "metrics", "snapshot": state.metrics}
-        )
-    return merged
 
 
 # -- the coordinator -----------------------------------------------------------
@@ -544,9 +306,10 @@ class ShardCoordinator:
                 ),
             )
             self.quarantined_quota.append(failure)
-            record = _baseline_record(
-                spec, load_dataset(spec.dataset),
-                failure.to_note(0),
+            record = baseline_record(
+                spec.system, load_dataset(spec.dataset), spec.budget_s,
+                seed=spec.seed, n_cores=spec.n_cores,
+                use_gpu=spec.use_gpu, note=failure.to_note(0),
             )
             key = self._keys[index]
             self._coord.record_failure(index, key, 0, failure=failure)
@@ -1001,6 +764,11 @@ class ShardCoordinator:
                 snapshot, self.cache.stats.registry.snapshot(),
             )
         return snapshot
+
+    @property
+    def pool_rebuilds(self) -> int:
+        """Pool replacements summed over every shard executor."""
+        return sum(s.executor.pool_rebuilds for s in self._shards)
 
     @property
     def cell_spans(self) -> list[dict]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.energy.train_cost import estimate_fit_seconds
+from repro.ensemble.caruana import caruana_select
 from repro.ensemble.stacking import StackingEnsemble
 from repro.models import (
     ExtraTreesClassifier,
@@ -30,7 +31,6 @@ from repro.models import (
 )
 from repro.observability import trace_span
 from repro.systems.base import AutoMLSystem, Deadline, StrategyCard
-from repro.utils.validation import check_is_fitted
 
 
 def default_portfolio(random_state=None) -> list[tuple[str, object]]:
@@ -215,7 +215,17 @@ class AutoGluonSystem(AutoMLSystem):
 
         stack.fit(X, y, budget_left=deadline.left, charge=charge_bag)
         with trace_span("ensemble"):
-            weights = self._caruana_weights(stack, y)
+            # greedy selection over *all* trained bags (both layers) on
+            # their out-of-fold probabilities: AutoGluon's weighted
+            # ensemble can pick lower-layer models when the stacker does
+            # not pay off
+            bags = stack.layer1_ + stack.layer2_
+            selection = caruana_select(
+                [bag.oof_proba_ for bag in bags], y, stack.classes_,
+                max_rounds=self.caruana_rounds, sorted_init=0,
+            )
+            weights = np.zeros(len(bags))
+            weights[selection.indices] = selection.weights
         model = AutoGluonModel(stack, weights, encoder=encoder)
         if self.optimize_for_inference:
             with trace_span("refit"):
@@ -233,35 +243,6 @@ class AutoGluonSystem(AutoMLSystem):
         """Refit the stack with already-encoded features (the encoder's
         transform must not be applied twice)."""
         model.stack.refit(np.asarray(X_encoded, dtype=float), y)
-
-    # -- Caruana weighting on out-of-fold predictions --------------------------
-    def _caruana_weights(self, stack: StackingEnsemble,
-                         y: np.ndarray) -> np.ndarray:
-        """Greedy selection over *all* trained bags (both layers), using
-        their out-of-fold probabilities — AutoGluon's weighted ensemble can
-        pick lower-layer models when the stacker does not pay off."""
-        from repro.metrics.classification import balanced_accuracy_score
-
-        check_is_fitted(stack, "_fitted")
-        bags = stack.layer1_ + stack.layer2_
-        classes = stack.classes_
-        probas = [bag.oof_proba_ for bag in bags]
-        n = len(y)
-        counts = np.zeros(len(bags))
-        running = np.zeros((n, len(classes)))
-        picked = 0
-        for _ in range(self.caruana_rounds):
-            best_i, best_score = -1, -np.inf
-            for i, p in enumerate(probas):
-                cand = (running * picked + p) / (picked + 1)
-                pred = classes[np.argmax(cand, axis=1)]
-                score = balanced_accuracy_score(y, pred)
-                if score > best_score:
-                    best_score, best_i = score, i
-            counts[best_i] += 1
-            picked += 1
-            running = (running * (picked - 1) + probas[best_i]) / picked
-        return counts / counts.sum()
 
     def _oof_score(self, stack, y, weights) -> float:
         from repro.metrics.classification import balanced_accuracy_score

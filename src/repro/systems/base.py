@@ -32,7 +32,11 @@ from repro.energy.parallel import (
     parallel_execution,
 )
 from repro.evalstore.capture import active_capture
-from repro.exceptions import BudgetExhaustedError, NotFittedError
+from repro.exceptions import (
+    BudgetBelowMinimumError,
+    BudgetExhaustedError,
+    NotFittedError,
+)
 from repro.faults import SEAM_TRIAL_ERROR, FailureRecord
 from repro.metrics.classification import balanced_accuracy_score
 from repro.metrics.validation import train_test_split
@@ -337,7 +341,7 @@ class AutoMLSystem:
             categorical_mask=None) -> "AutoMLSystem":
         """Run the AutoML search for ``budget_s`` paper-seconds."""
         if budget_s < self.min_budget_s:
-            raise ValueError(
+            raise BudgetBelowMinimumError(
                 f"{self.system_name} does not support budgets below "
                 f"{self.min_budget_s}s (got {budget_s}s) — same restriction "
                 f"as in the paper's Figure 3"

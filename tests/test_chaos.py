@@ -8,12 +8,14 @@ from repro.experiments import ExperimentConfig, grid_cells
 from repro.faults import (
     SEAM_CELL_ERROR,
     SEAM_RAPL_READ,
+    SEAM_SLOW_CELL,
     SEAM_WORKER_DEATH,
     FailureRecord,
     FaultPlan,
 )
 from repro.runtime import CampaignExecutor, CampaignJournal, RetryPolicy
 from repro.runtime.chaos import run_chaos_campaign
+from repro.runtime.executor import planned_worker_faults
 
 #: a small serial-friendly grid: 1 system x 1 dataset x 4 runs
 SMALL = ExperimentConfig(
@@ -32,6 +34,34 @@ def _run_serial_chaos(plan: FaultPlan, journal_path=None):
     )
     store = executor.run(grid_cells(SMALL))
     return executor, store
+
+
+class TestWorkerFaultLedger:
+    def test_follows_the_worker_check_order(self):
+        every = FaultPlan.uniform(0, (SEAM_WORKER_DEATH, SEAM_SLOW_CELL,
+                                      SEAM_CELL_ERROR, SEAM_RAPL_READ), 1.0)
+        # death short-circuits every later seam
+        assert planned_worker_faults(every, "k#a0") \
+            == [(SEAM_WORKER_DEATH, "k#a0")]
+        # a stall precedes an injected error, which blocks the RAPL probe
+        alive = FaultPlan.uniform(0, (SEAM_SLOW_CELL, SEAM_CELL_ERROR,
+                                      SEAM_RAPL_READ), 1.0)
+        assert planned_worker_faults(alive, "k#a0") == [
+            (SEAM_SLOW_CELL, "k#a0"), (SEAM_CELL_ERROR, "k#a0"),
+        ]
+        rapl = FaultPlan.uniform(0, (SEAM_RAPL_READ,), 1.0)
+        assert planned_worker_faults(rapl, "k#a0") \
+            == [(SEAM_RAPL_READ, "k#a0")]
+        assert planned_worker_faults(FaultPlan(seed=0), "k#a0") == []
+
+    def test_executor_ledger_is_the_function_over_its_keys(self):
+        plan = FaultPlan.uniform(3, (SEAM_CELL_ERROR, SEAM_RAPL_READ), 0.5)
+        executor, _ = _run_serial_chaos(plan)
+        assert sorted(executor.fault_events) == sorted(
+            event for key in executor._planned
+            for event in planned_worker_faults(plan, key)
+        )
+        assert executor.fault_events
 
 
 class TestSerialChaos:

@@ -155,6 +155,52 @@ class TestJournal:
     def test_missing_file_loads_empty(self, tmp_path):
         assert len(CampaignJournal.load(tmp_path / "absent.jsonl")) == 0
 
+    def test_load_is_the_merge_fold(self, tmp_path):
+        """One replay rule set: the first commit by attempt wins, failures
+        and spans come out in content order, metrics snapshots fold and
+        ``n_cells`` is the largest header."""
+        from repro.observability import MetricsRegistry, merge_snapshots
+        from repro.runtime import canonical_state_bytes, merge_journals
+
+        first, second = MetricsRegistry(), MetricsRegistry()
+        first.counter("cells.executed").inc(2)
+        second.counter("cells.executed").inc(1)
+        path = tmp_path / "j.jsonl"
+        with CampaignJournal(path) as journal:
+            journal.open_campaign(2)
+            journal.record_failure(1, "k1", 1, "boom")
+            journal.record_spans(1, "k1", 0, [])
+            journal.record_cell(1, "k1", _record(seed=1), attempt=1)
+            journal.record_failure(0, "k0", 1, "bang")
+            journal.record_spans(0, "k0", 0, [])
+            journal.record_cell(0, "k0", _record(seed=0), attempt=0)
+            journal.record_metrics(first.snapshot())
+            journal.open_campaign(3)
+            journal.record_cell(1, "k1", _record(seed=99), attempt=0)
+            journal.record_metrics(second.snapshot())
+        state = CampaignJournal.load(path)
+        assert state.n_cells == 3
+        assert state.completed["k1"].seed == 99   # attempt 0 beats 1
+        assert [e["index"] for e in state.failures] == [0, 1]
+        assert [e["index"] for e in state.spans] == [0, 1]
+        assert state.metrics == merge_snapshots(first.snapshot(),
+                                                second.snapshot())
+        folded = merge_journals([path]).state
+        assert canonical_state_bytes(state) == canonical_state_bytes(folded)
+        assert state.failures == folded.failures
+        assert state.spans == folded.spans
+
+    def test_malformed_record_does_not_shadow_a_valid_commit(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with CampaignJournal(path) as journal:
+            journal.record_event({"type": "cell", "index": 0, "key": "k0",
+                                  "record": {"bogus": 1}, "attempt": 0})
+            journal.record_cell(0, "k0", _record(), attempt=1)
+            journal.open_campaign(1)
+        with pytest.warns(UserWarning, match="1 corrupt line"):
+            state = CampaignJournal.load(path)
+        assert state.completed["k0"] == _record()
+
 
 class TestExecutor:
     def test_warm_cache_rerun_executes_zero_cells(self, tmp_path):
@@ -264,6 +310,37 @@ class TestExecutor:
         pooled = CampaignExecutor(workers=2).run(cells)
         assert [asdict(r) for r in pooled.records] \
             == [asdict(r) for r in serial.records]
+
+    def test_serial_retry_rejoins_the_back_of_the_queue(
+            self, tmp_path, monkeypatch):
+        """Serial runs requeue a failed cell behind the rest, like the
+        pool does; the records still match a fault-free run."""
+        import repro.experiments.runner as runner_mod
+
+        cells = _cells()
+        reference = CampaignExecutor(workers=1).run(cells)
+        real = runner_mod.run_single
+        tripped = []
+
+        def fail_first_once(system, dataset, *args, **kwargs):
+            if system == "TabPFN" and not tripped:
+                tripped.append(system)
+                raise RuntimeError("injected transient crash")
+            return real(system, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "run_single", fail_first_once)
+        journal_path = tmp_path / "j.jsonl"
+        store = CampaignExecutor(
+            workers=1, journal=CampaignJournal(journal_path),
+            policy=RetryPolicy(max_retries=1),
+        ).run(cells)
+        events = [json.loads(line)
+                  for line in journal_path.read_text().splitlines()]
+        assert [(e["type"], e["index"]) for e in events[1:]] == [
+            ("failure", 0), ("cell", 1), ("cell", 0),
+        ]
+        assert [asdict(r) for r in store.records] \
+            == [asdict(r) for r in reference.records]
 
     def test_quarantine_note_survives_empty_error(self):
         from repro.runtime.executor import _Pending
@@ -477,6 +554,22 @@ class TestRunGridIntegration:
         )
         assert [asdict(r) for r in rerun.records] \
             == [asdict(r) for r in store.records]
+
+    def test_run_grid_fills_shared_telemetry_for_both_engines(
+            self, tmp_path):
+        shared = {"cache", "pool_rebuilds", "metrics", "spans"}
+        serial: dict = {}
+        run_grid(self.CONFIG, cache_dir=tmp_path / "c1",
+                 telemetry=serial, trace=True)
+        assert set(serial) == shared
+        sharded: dict = {}
+        run_grid(self.CONFIG, shards=2, cache_dir=tmp_path / "c2",
+                 journal_path=tmp_path / "j.jsonl", telemetry=sharded,
+                 trace=True)
+        assert set(sharded) == shared | {"shards", "fenced_commits",
+                                         "dedup_commits"}
+        assert sharded["pool_rebuilds"] == serial["pool_rebuilds"] == 0
+        assert set(sharded["shards"]) == {0, 1}
 
     def test_run_grid_resume_requires_journal(self):
         with pytest.raises(ValueError):
