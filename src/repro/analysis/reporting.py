@@ -40,7 +40,12 @@ def ascii_scatter(points: dict[str, list[tuple[float, float]]], *,
                   width: int = 68, height: int = 18,
                   xlabel: str = "x", ylabel: str = "y",
                   logx: bool = False, logy: bool = False) -> str:
-    """Scatter named series onto a character grid (first letter = marker)."""
+    """Scatter named series onto a character grid.
+
+    Each series gets its own marker (see :func:`_series_markers`).  A
+    point drawn over another series' marker hides it, so the legend is
+    followed by the count of such overwritten cells.
+    """
     xs = [p[0] for series in points.values() for p in series]
     ys = [p[1] for series in points.values() for p in series]
     if not xs:
@@ -54,12 +59,16 @@ def ascii_scatter(points: dict[str, list[tuple[float, float]]], *,
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     grid = [[" "] * width for _ in range(height)]
+    markers = _series_markers(points)
+    overwritten = 0
     for name, series in points.items():
-        marker = name[0].upper()
+        marker = markers[name]
         for x, y in series:
             cx = int((tx(x, logx) - x_lo) / x_span * (width - 1))
             cy = int((tx(y, logy) - y_lo) / y_span * (height - 1))
-            grid[height - 1 - cy][cx] = marker
+            row = grid[height - 1 - cy]
+            overwritten += row[cx] not in (" ", marker)
+            row[cx] = marker
     lines = ["." + "-" * width + "."]
     lines += ["|" + "".join(row) + "|" for row in grid]
     lines.append("'" + "-" * width + "'")
@@ -71,9 +80,38 @@ def ascii_scatter(points: dict[str, list[tuple[float, float]]], *,
     hi_lab = f"{10**y_hi:.3g}" if logy else f"{y_hi:.3g}"
     lines.append(f"y: {ylabel} [{lo_lab} .. {hi_lab}]"
                  f"{' (log)' if logy else ''}")
-    legend = ", ".join(f"{name[0].upper()}={name}" for name in points)
+    legend = ", ".join(f"{markers[name]}={name}" for name in points)
     lines.append(f"legend: {legend}")
+    lines.append(f"overwritten cells: {overwritten} "
+                 f"(a later series drawn over an earlier one)")
     return "\n".join(lines)
+
+
+#: markers for series whose name offers no free character
+_SPARE_MARKERS = "*+#@%&=~^$abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def _series_markers(names) -> dict:
+    """One distinct marker per series, in order: the name's first letter
+    when it is free, else the next capital or digit of the name (so
+    AutoGluon, AutoSklearn1 and AutoSklearn2 plot as A, S and 2), else
+    any other letter of it, else a spare symbol ("?" once all are
+    taken)."""
+    used: set[str] = set()
+    markers = {}
+    for name in names:
+        text = str(name)
+        options = (
+            [text[:1].upper()]
+            + [c for c in text[1:] if c.isupper() or c.isdigit()]
+            + [c.upper() for c in text[1:] if c.isalpha()]
+            + list(_SPARE_MARKERS)
+        )
+        marker = next((c for c in options if c.strip() and c not in used),
+                      "?")
+        used.add(marker)
+        markers[name] = marker
+    return markers
 
 
 def bootstrap_mean(values, n_boot: int = 200, random_state=0) -> tuple[float, float]:

@@ -6,9 +6,17 @@ the random-forest surrogate inside Bayesian optimization.  Two split-search
 kernels share one builder skeleton (preallocated flat node arrays plus an
 explicit work stack, after ivalice's ``_Tree``/``_Stack``):
 
-- the **exact** kernel (``binning=None``, the default) sorts each candidate
-  feature per node and scans prefix sums over every distinct cut — the
-  historical path, kept bit-identical;
+- the **exact** kernel (``binning=None``, the default) grows the tree
+  depth-first and, per node, scans all candidate features at once: one
+  stable row-wise argsort of the ``(features, rows)`` value matrix,
+  row-wise prefix sums, gains at every cut with non-candidate cuts masked
+  to ``-inf``, and the first best cut of the first best feature.  Every
+  reduction runs row by row over C-contiguous rows, which numpy sums
+  exactly like the 1-D vector a one-feature-at-a-time scan would, so the
+  trees are bit-identical to that scan.  The builder stays depth-first
+  because each node draws its feature subset (``rng.choice``) when it is
+  expanded: batching a whole level would reorder those draws, and so
+  every tree, whenever ``max_features`` is below the feature count;
 - the **histogram** kernel (``binning=<max_bins>``) quantizes features once
   per fit into at most 255 ordinal codes (:class:`~repro.models.binning.
   FeatureBinner`) and searches splits via binned class-count/moment prefix
@@ -43,6 +51,12 @@ _INITIAL_CAPACITY = 64
 _TINY = 1e-300
 #: per-level histogram tensors are chunked to at most this many elements
 _HIST_CHUNK_ELEMENTS = 2**23
+#: exact scans take a node's features in blocks of at most this many
+#: (feature, row[, class]) elements: 1 MiB per float64 temporary keeps a
+#: block's working set in a core's L2 cache.  Blocks sized to the
+#: histogram budget above made 20k-row nodes about 25% slower than a scan
+#: of one feature at a time; at this size they are about 10% faster.
+_SCAN_BLOCK_ELEMENTS = 2**17
 
 
 class _Tree:
@@ -248,6 +262,57 @@ def _resolve_max_features(max_features, n_features: int) -> int:
     raise ValueError(f"invalid max_features: {max_features!r}")
 
 
+def _first_max(gains) -> int:
+    """Index of the first highest entry, NaN never winning: the choice of
+    a strict ``>`` scan that visits the entries in order."""
+    r = int(gains.argmax())
+    if np.isnan(gains[r]):  # argmax stops at the first NaN
+        r = int(np.argmax(np.where(np.isnan(gains), -np.inf, gains)))
+    return r
+
+
+def _variance(y):
+    """``np.var`` along the last axis by the same operations (pairwise
+    mean, then pairwise mean of squared deviations), so bit-equal to it,
+    without its Python-level overhead on the many tiny nodes."""
+    n = y.shape[-1]
+    dev = y - y.sum(axis=-1, keepdims=True) / n
+    return (dev * dev).sum(axis=-1) / n
+
+
+def _weighted_variance(y, w):
+    """Weighted variance along the last axis, 0 where there is no weight.
+
+    Means are BLAS dots, ``w @ y / sum(w)``: a stacked ``(1, n) @ (n, 1)``
+    matmul runs the same dot per row as ``np.dot`` on one vector.
+    """
+    total = w.sum(axis=-1)
+    safe = np.where(total > 0, total, 1.0)
+
+    def _dot(a, b):
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+    mean = _dot(w, y) / safe
+    var = _dot(w, (y - mean[..., None]) ** 2) / safe
+    return np.where(total > 0, var, 0.0)
+
+
+def _entropy(p):
+    """Entropy in bits along the last axis over the entries ``> 0``.
+
+    Bit-equal to ``-np.sum(q * np.log2(q))`` over the compacted 1-D
+    vector ``q = p[p > 0]``: dropping zeros regroups numpy's pairwise
+    sum once a row has eight or more entries, so each row's non-zeros
+    are packed to its front and summed as one contiguous run.
+    """
+    nz = p > 0
+    q = np.take_along_axis(p, np.argsort(~nz, axis=-1, kind="stable"),
+                           axis=-1)
+    run = np.arange(p.shape[-1]) < nz.sum(axis=-1)[..., None]
+    q = np.where(run, q, 1.0)
+    return -(q * np.log2(q)).sum(axis=-1, where=run)
+
+
 class _BaseDecisionTree(BaseEstimator):
     """Shared builder skeleton; subclasses define impurity and leaf values.
 
@@ -275,8 +340,21 @@ class _BaseDecisionTree(BaseEstimator):
     def _leaf_value(self, y_node, w_node=None) -> np.ndarray:
         raise NotImplementedError
 
-    def _prefix_gains(self, y_sorted, cuts, n_node, w_sorted=None):
-        """Return impurity gain of (left, right) prefix splits per cut."""
+    def _prefix_gains(self, y_sorted, w_sorted=None):
+        """Impurity gain of the split after every prefix of each row.
+
+        ``y_sorted`` / ``w_sorted`` are ``(features, n)`` matrices holding
+        the node's targets / weights in each feature's stable sort order;
+        returns ``(features, n - 1)`` gains, entry ``c - 1`` scoring the
+        cut between sorted positions ``c - 1`` and ``c``.  The parent
+        impurity is taken per row over that row's order, as the gain
+        formulas always have (weighted sums depend on summation order).
+        """
+        raise NotImplementedError
+
+    def _mask_gains(self, y_node, w_node, go_left, n_left, parent):
+        """Impurity gain per row of the ``(features, n)`` boolean
+        partition ``go_left`` of the node (random splitter)."""
         raise NotImplementedError
 
     def _node_impurity(self, y_node, w_node=None) -> float:
@@ -322,6 +400,9 @@ class _BaseDecisionTree(BaseEstimator):
         n_samples = X.shape[0]
         k = _resolve_max_features(self.max_features, X.shape[1])
         max_depth = self.max_depth if self.max_depth is not None else np.inf
+        # one contiguous row per feature, so every node gathers its
+        # (features, rows) scan matrix with row-contiguous reads
+        XT = np.ascontiguousarray(X.T)
 
         root_value = np.atleast_1d(self._leaf_value(y, w))
         tree = _Tree(value_width=root_value.shape[0])
@@ -333,17 +414,19 @@ class _BaseDecisionTree(BaseEstimator):
         max_leaves = self.max_leaf_nodes or np.inf
         while stack:
             node, idx, depth = stack.pop()
-            y_node = y[idx]
-            w_node = None if w is None else w[idx]
             if (
                 depth >= max_depth
                 or len(idx) < self.min_samples_split
                 or len(idx) < 2 * self.min_samples_leaf
-                or self._node_impurity(y_node, w_node) <= 1e-12
                 or n_leaves + 1 > max_leaves
             ):
                 continue
-            split = self._best_split(X, y, idx, k, rng, w)
+            y_node = y[idx]
+            w_node = None if w is None else w[idx]
+            parent = self._node_impurity(y_node, w_node)
+            if parent <= 1e-12:
+                continue
+            split = self._best_split(XT, idx, y_node, w_node, parent, k, rng)
             if split is None:
                 continue
             feat, thr, left_idx, right_idx = split
@@ -520,54 +603,74 @@ class _BaseDecisionTree(BaseEstimator):
         tree.finalize()
 
     # -- split search: exact kernel ----------------------------------------
-    def _best_split(self, X, y, idx, k, rng, w=None):
-        n_features = X.shape[1]
+    def _best_split(self, XT, idx, y_node, w_node, parent, k, rng):
+        """Best ``(feature, threshold, left rows, right rows)`` of one node,
+        or ``None``.
+
+        The node's candidate features are scanned together as the rows of
+        a ``(features, node rows)`` matrix, in blocks that keep the
+        ``(features, rows[, classes])`` temporaries under
+        ``_SCAN_BLOCK_ELEMENTS``.  Every feature's gains and its first
+        best cut come from one batched scan; the node keeps the first
+        feature with the highest gain, carried across blocks by a strict
+        ``>`` exactly like a scan one feature at a time.  ``parent`` is
+        the node impurity over ``y_node`` in row order.
+        """
+        n_features = XT.shape[0]
         features = (
             rng.choice(n_features, size=k, replace=False)
             if k < n_features
             else np.arange(n_features)
         )
-        best_gain = 1e-12
-        best = None
         n_node = len(idx)
         min_leaf = self.min_samples_leaf
-        w_idx = None if w is None else w[idx]
-        for feat in features:
-            values = X[idx, feat]
+        step = max(1, _SCAN_BLOCK_ELEMENTS // (n_node * self._hist_width()))
+        cut = np.arange(1, n_node)
+        # cuts leaving at least min_samples_leaf rows on each side
+        inner = (cut >= min_leaf) & (cut <= n_node - min_leaf)
+        best_gain = 1e-12
+        best = None
+        for f0 in range(0, len(features), step):
+            feats = features[f0:f0 + step]
+            values = XT[feats[:, None], idx]
             if self.splitter == "random":
-                lo, hi = values.min(), values.max()
-                if hi <= lo:
-                    continue
-                thr = rng.uniform(lo, hi)
-                mask = values <= thr
-                n_left = int(mask.sum())
-                if n_left < min_leaf or n_node - n_left < min_leaf:
-                    continue
-                gain = self._split_gain_for_mask(y[idx], mask, w_idx)
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(feat), float(thr), idx[mask], idx[~mask])
+                # one uniform draw per feature with a value range, in
+                # feature order: the same doubles a per-feature loop draws
+                lo, hi = values.min(axis=1), values.max(axis=1)
+                ok = hi > lo
+                thr = lo.copy()
+                if ok.any():
+                    thr[ok] = rng.uniform(lo[ok], hi[ok])
+                go = values <= thr[:, None]
+                n_left = go.sum(axis=1)
+                valid = (ok & (n_left >= min_leaf)
+                         & (n_node - n_left >= min_leaf))
+                gains = np.full(len(feats), -np.inf)
+                if valid.any():
+                    gains[valid] = self._mask_gains(
+                        y_node, w_node, go[valid], n_left[valid], parent)
+                r = _first_max(gains)
+                if gains[r] > best_gain:
+                    best_gain = float(gains[r])
+                    best = (int(feats[r]), float(thr[r]), idx[go[r]],
+                            idx[~go[r]])
                 continue
-            order = np.argsort(values, kind="stable")
-            v_sorted = values[order]
-            y_sorted = y[idx[order]]
-            # Candidate cuts: positions where the feature value changes.
-            diff = np.flatnonzero(v_sorted[1:] > v_sorted[:-1]) + 1
-            if len(diff) == 0:
-                continue
-            cuts = diff[(diff >= min_leaf) & (diff <= n_node - min_leaf)]
-            if len(cuts) == 0:
-                continue
-            w_sorted = None if w_idx is None else w_idx[order]
-            gains = self._prefix_gains(y_sorted, cuts, n_node, w_sorted)
-            j = int(np.argmax(gains))
-            if gains[j] > best_gain:
-                cut = int(cuts[j])
-                thr = 0.5 * (v_sorted[cut - 1] + v_sorted[cut])
-                left_sel = order[:cut]
-                right_sel = order[cut:]
-                best_gain = float(gains[j])
-                best = (int(feat), float(thr), idx[left_sel], idx[right_sel])
+            order = np.argsort(values, axis=1, kind="stable")
+            rows = np.arange(len(feats))
+            v_sorted = values[rows[:, None], order]
+            gains = self._prefix_gains(
+                y_node[order], None if w_node is None else w_node[order])
+            # candidate cuts: inner ones where the value changes
+            gains[~((v_sorted[:, 1:] > v_sorted[:, :-1]) & inner)] = -np.inf
+            j = gains.argmax(axis=1)
+            per_feature = gains[rows, j]
+            r = _first_max(per_feature)
+            if per_feature[r] > best_gain:
+                c = int(j[r]) + 1
+                thr = 0.5 * (v_sorted[r, c - 1] + v_sorted[r, c])
+                best_gain = float(per_feature[r])
+                best = (int(feats[r]), float(thr), idx[order[r, :c]],
+                        idx[order[r, c:]])
         return best
 
     # -- prediction helpers ------------------------------------------------
@@ -695,79 +798,84 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
         if w_node is None:
             p = np.bincount(y_node, minlength=self._n_classes) \
                 / max(len(y_node), 1)
-        else:
-            cw = np.bincount(y_node, weights=w_node,
-                             minlength=self._n_classes)
-            total = cw.sum()
-            if total <= 0:
-                return 0.0
-            p = cw / total
-        if self.criterion == "entropy":
-            nz = p[p > 0]
-            return float(-np.sum(nz * np.log2(nz)))
-        return float(1.0 - np.sum(p**2))
+            return float(self._impurities(p))
+        return float(self._mass_impurities(np.bincount(
+            y_node, weights=w_node, minlength=self._n_classes)))
 
-    def _prefix_gains(self, y_sorted, cuts, n_node,
-                      w_sorted=None) -> np.ndarray:
-        onehot = np.zeros((n_node, self._n_classes))
-        onehot[np.arange(n_node), y_sorted] = 1.0
+    def _impurities(self, p):
+        """Impurity of each class-proportion vector on the last axis."""
+        if self.criterion == "entropy":
+            return _entropy(p)
+        return 1.0 - (p**2).sum(axis=-1)
+
+    def _mass_impurities(self, cw):
+        """Impurity of each class-weight vector on the last axis; 0 where
+        the vector holds no weight."""
+        mass = cw.sum(axis=-1)
+        safe = np.where(mass > 0, mass, 1.0)[..., None]
+        return np.where(mass > 0, self._impurities(cw / safe), 0.0)
+
+    def _prefix_gains(self, y_sorted, w_sorted=None) -> np.ndarray:
+        n_node = y_sorted.shape[1]
+        onehot = (y_sorted[..., None]
+                  == np.arange(self._n_classes)).astype(np.float64)
         if w_sorted is not None:
-            onehot *= w_sorted[:, None]
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[cuts - 1]                     # counts in left child per cut
-        total = cum[-1]
-        right = total - left
+            onehot *= w_sorted[..., None]
+        cum = np.cumsum(onehot, axis=1)
+        left = cum[:, :-1]                  # class mass left of each cut
+        total = cum[:, -1]                  # equals a bincount in row order
+        right = total[:, None] - left
         if w_sorted is None:
-            n_left = cuts.astype(float)
+            n_left = np.arange(1, n_node, dtype=np.float64)
             n_right = n_node - n_left
             n_total = float(n_node)
+            parent = self._impurities(total / n_node)
         else:
-            n_left = np.maximum(left.sum(axis=1), _TINY)
-            n_right = np.maximum(right.sum(axis=1), _TINY)
-            n_total = max(float(total.sum()), _TINY)
+            n_left = np.maximum(left.sum(axis=-1), _TINY)
+            n_right = np.maximum(right.sum(axis=-1), _TINY)
+            n_total = np.maximum(total.sum(axis=-1), _TINY)[:, None]
+            parent = self._mass_impurities(total)
         if self.criterion == "entropy":
             def _h(counts, n):
-                p = counts / n[:, None]
+                p = counts / n[..., None]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    logp = np.where(p > 0, np.log2(np.maximum(p, 1e-300)), 0.0)
-                return -np.sum(p * logp, axis=1)
+                    logp = np.where(p > 0, np.log2(np.maximum(p, 1e-300)),
+                                    0.0)
+                return -(p * logp).sum(axis=-1)
             imp_left = _h(left, n_left)
             imp_right = _h(right, n_right)
         else:
-            imp_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-            imp_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
-        parent = self._node_impurity(y_sorted, w_sorted)
+            imp_left = 1.0 - ((left / n_left[..., None]) ** 2).sum(axis=-1)
+            imp_right = 1.0 - ((right / n_right[..., None]) ** 2).sum(axis=-1)
         child = (n_left * imp_left + n_right * imp_right) / n_total
-        return parent - child
+        return parent[:, None] - child
 
-    def _split_gain_for_mask(self, y_node, mask, w_node=None) -> float:
-        parent = self._node_impurity(y_node, w_node)
-        left, right = y_node[mask], y_node[~mask]
-
-        def _imp(part, w_part):
-            if w_part is None:
-                p = np.bincount(part, minlength=self._n_classes) / len(part)
-            else:
-                cw = np.bincount(part, weights=w_part,
-                                 minlength=self._n_classes)
-                total = cw.sum()
-                if total <= 0:
-                    return 0.0
-                p = cw / total
-            if self.criterion == "entropy":
-                nz = p[p > 0]
-                return float(-np.sum(nz * np.log2(nz)))
-            return float(1.0 - np.sum(p**2))
-
+    def _mask_gains(self, y_node, w_node, go_left, n_left, parent):
+        kc = self._n_classes
+        m, n_node = go_left.shape
+        side = (~go_left).astype(np.int64)          # 0 = left, 1 = right
+        # one keyed bincount counts both sides of every row; weighted
+        # buckets accumulate in row order, like a bincount per side
+        key = ((2 * np.arange(m)[:, None] + side) * kc + y_node).ravel()
         if w_node is None:
-            child = (
-                len(left) * _imp(left, None) + len(right) * _imp(right, None)
-            ) / len(y_node)
-        else:
-            wl, wr = w_node[mask], w_node[~mask]
-            n_l, n_r = wl.sum(), wr.sum()
-            child = (n_l * _imp(left, wl) + n_r * _imp(right, wr)) \
-                / max(n_l + n_r, _TINY)
+            counts = np.bincount(key, minlength=2 * m * kc) \
+                .reshape(m, 2, kc)
+            sizes = np.stack([n_left, n_node - n_left], axis=1)
+            imp = self._impurities(counts / sizes[..., None])
+            child = (sizes[:, 0] * imp[:, 0] + sizes[:, 1] * imp[:, 1]) \
+                / n_node
+            return parent - child
+        cw = np.bincount(key, weights=np.broadcast_to(w_node, (m, n_node))
+                         .ravel(), minlength=2 * m * kc).reshape(m, 2, kc)
+        imp = self._mass_impurities(cw)
+        # side weights are pairwise sums over each side's rows in row
+        # order: pack each side into one contiguous run per row
+        w_packed = w_node[np.argsort(side, axis=1, kind="stable")]
+        first = np.arange(n_node) < n_left[:, None]
+        n_l = w_packed.sum(axis=1, where=first)
+        n_r = w_packed.sum(axis=1, where=~first)
+        child = (n_l * imp[:, 0] + n_r * imp[:, 1]) \
+            / np.maximum(n_l + n_r, _TINY)
         return parent - child
 
     # -- batched histogram kernel ------------------------------------------
@@ -952,43 +1060,48 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
             total = w_node.sum()
             if total > 0:
                 return np.asarray([float(np.dot(w_node, y_node) / total)])
-        return np.asarray([float(np.mean(y_node))])
+        # np.mean's arithmetic (pairwise sum, one division), minus its
+        # Python overhead on the many tiny nodes
+        return np.asarray([float(y_node.sum() / len(y_node))])
 
     def _node_impurity(self, y_node, w_node=None) -> float:
         if len(y_node) == 0:
             return 0.0
         if w_node is None:
-            return float(np.var(y_node))
-        total = w_node.sum()
-        if total <= 0:
-            return 0.0
-        mean = np.dot(w_node, y_node) / total
-        return float(np.dot(w_node, (y_node - mean) ** 2) / total)
+            return float(_variance(y_node))
+        return float(_weighted_variance(y_node, w_node))
 
-    def _prefix_gains(self, y_sorted, cuts, n_node,
-                      w_sorted=None) -> np.ndarray:
+    def _prefix_gains(self, y_sorted, w_sorted=None) -> np.ndarray:
+        n_node = y_sorted.shape[1]
         if w_sorted is None:
-            cum = np.cumsum(y_sorted)
-            cum2 = np.cumsum(y_sorted**2)
-            n_left = cuts.astype(float)
+            cum = np.cumsum(y_sorted, axis=1)
+            cum2 = np.cumsum(y_sorted**2, axis=1)
+            n_left = np.arange(1, n_node, dtype=np.float64)
             n_right = n_node - n_left
             n_total = float(n_node)
+            parent = _variance(y_sorted)
         else:
-            cumw = np.cumsum(w_sorted)
-            cum = np.cumsum(w_sorted * y_sorted)
-            cum2 = np.cumsum(w_sorted * y_sorted**2)
-            n_left = np.maximum(cumw[cuts - 1], _TINY)
-            n_right = np.maximum(cumw[-1] - n_left, _TINY)
-            n_total = max(float(cumw[-1]), _TINY)
-        sum_left = cum[cuts - 1]
-        sum2_left = cum2[cuts - 1]
-        sum_right = cum[-1] - sum_left
-        sum2_right = cum2[-1] - sum2_left
+            cumw = np.cumsum(w_sorted, axis=1)
+            cum = np.cumsum(w_sorted * y_sorted, axis=1)
+            cum2 = np.cumsum(w_sorted * y_sorted**2, axis=1)
+            n_left = np.maximum(cumw[:, :-1], _TINY)
+            n_right = np.maximum(cumw[:, -1:] - n_left, _TINY)
+            n_total = np.maximum(cumw[:, -1:], _TINY)
+            parent = _weighted_variance(y_sorted, w_sorted)
+        sum_left = cum[:, :-1]
+        sum2_left = cum2[:, :-1]
+        sum_right = cum[:, -1:] - sum_left
+        sum2_right = cum2[:, -1:] - sum2_left
         var_left = sum2_left / n_left - (sum_left / n_left) ** 2
         var_right = sum2_right / n_right - (sum_right / n_right) ** 2
-        parent = self._node_impurity(y_sorted, w_sorted)
         child = (n_left * var_left + n_right * var_right) / n_total
-        return parent - child
+        return parent[:, None] - child
+
+    def _mask_gains(self, y_node, w_node, go_left, n_left, parent):
+        # the weighted side means are BLAS dots over ragged row subsets,
+        # which no batched call reproduces bit for bit: score each row
+        return np.array([self._split_gain_for_mask(y_node, mask, w_node)
+                         for mask in go_left])
 
     def _split_gain_for_mask(self, y_node, mask, w_node=None) -> float:
         parent = self._node_impurity(y_node, w_node)

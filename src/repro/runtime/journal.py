@@ -60,6 +60,8 @@ import json
 import os
 import warnings
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from repro.experiments.results import MEASUREMENT_FIELDS, RunRecord
@@ -297,8 +299,8 @@ _EVENT_RANK = {
 
 
 def _event_sort_key(event: dict):
-    """A total, content-only order: merging is commutative because the
-    final event sequence never depends on input file order."""
+    """Leading fields of the content-only event order; ties fall to the
+    canonical JSON (see :func:`sort_events`)."""
     shard = event.get("shard")
     return (
         _EVENT_RANK.get(event.get("type"), 9),
@@ -310,20 +312,42 @@ def _event_sort_key(event: dict):
         int(event.get("beat", -1)),
         int(event.get("fenced_shard", -1)),
         int(event.get("fenced_epoch", -1)),
-        json.dumps(event, sort_keys=True),
     )
 
 
 def _commit_rank(event: dict):
-    """First-write-wins by attempt, then (shard, epoch) as the total
-    tiebreak — pure content, no file positions."""
+    """First-write-wins by attempt, then (shard, epoch); ties fall to the
+    canonical JSON — pure content, no file positions."""
     shard = event.get("shard")
     return (
         int(event.get("attempt", 0)),
         int(shard) if isinstance(shard, int) else -1,
         int(event.get("epoch", 0)),
-        json.dumps(event, sort_keys=True),
     )
+
+
+def _content_sorted(events, lead) -> list[dict]:
+    """``events`` sorted by ``lead(event)``, ties broken by canonical JSON.
+
+    The order is that of the key ``lead(event) + (json.dumps(event,
+    sort_keys=True),)``, but an event is serialised only when its
+    leading fields tie with another event's: span events are large and
+    rarely tie.
+    """
+    keyed = sorted(((lead(e), e) for e in events), key=itemgetter(0))
+    ordered = []
+    for _, group in groupby(keyed, key=itemgetter(0)):
+        tied = [e for _, e in group]
+        if len(tied) > 1:
+            tied.sort(key=lambda e: json.dumps(e, sort_keys=True))
+        ordered.extend(tied)
+    return ordered
+
+
+def sort_events(events) -> list[dict]:
+    """A total, content-only order: merging is commutative because the
+    final event sequence never depends on input file order."""
+    return _content_sorted(events, _event_sort_key)
 
 
 def _is_fenced(event: dict, fenced: set) -> bool:
@@ -459,8 +483,10 @@ def merge_journals(paths) -> MergedJournal:
     def resolve(candidates):
         if len(candidates) == 1:
             return candidates[0]
-        live = [c for c in candidates if not _is_fenced(c[0], fenced)]
-        winner = min(live or candidates, key=lambda c: _commit_rank(c[0]))
+        pool = [c for c in candidates if not _is_fenced(c[0], fenced)] \
+            or candidates
+        first = _content_sorted([c[0] for c in pool], _commit_rank)[0]
+        winner = next(c for c in pool if c[0] is first)
         for candidate in candidates:
             if candidate is winner:
                 continue
@@ -505,10 +531,8 @@ def merge_journals(paths) -> MergedJournal:
     for row in merged.shards.values():
         row["epochs"] = sorted(row["epochs"])
 
-    ordered = sorted(
-        winners + [e for e in rest if e.get("type") != "metrics"],
-        key=_event_sort_key,
-    )
+    ordered = sort_events(
+        winners + [e for e in rest if e.get("type") != "metrics"])
     state.failures = [e for e in ordered if e.get("type") == "failure"]
     state.spans = [e for e in ordered if e.get("type") == "spans"]
     merged.events.extend(ordered)

@@ -85,8 +85,8 @@ from repro.runtime.journal import (
     CampaignJournal,
     JournalState,
     MergedJournal,
-    _event_sort_key,
     merge_journals,
+    sort_events,
 )
 from repro.runtime.progress import ProgressTracker, WorkerStats
 
@@ -775,8 +775,7 @@ class ShardCoordinator:
         spans: list[dict] = []
         for shard in self._shards:
             spans.extend(shard.executor.cell_spans)
-        spans.sort(key=_event_sort_key)
-        return spans
+        return sort_events(spans)
 
     @property
     def fault_counts(self) -> dict[str, int]:

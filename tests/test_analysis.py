@@ -236,6 +236,31 @@ class TestReporting:
         assert "C" in text and "T" in text
         assert "legend" in text
 
+    def test_ascii_scatter_gives_each_series_its_own_marker(self):
+        # the three Auto* systems of Figure 3 share a first letter
+        text = ascii_scatter(
+            {"AutoGluon": [(1.0, 0.5)], "AutoSklearn1": [(2.0, 0.6)],
+             "AutoSklearn2": [(3.0, 0.7)]},
+        )
+        legend = next(line for line in text.splitlines()
+                      if line.startswith("legend: "))
+        markers = [entry.split("=")[0]
+                   for entry in legend[len("legend: "):].split(", ")]
+        assert markers == ["A", "S", "2"]
+        plotted = "".join(line[1:-1] for line in text.splitlines()
+                          if line.startswith("|"))
+        assert sorted(plotted.replace(" ", "")) == sorted("AS2")
+        assert "overwritten cells: 0" in text
+
+    def test_ascii_scatter_counts_overwritten_cells(self):
+        text = ascii_scatter(
+            {"AutoGluon": [(1.0, 0.5), (2.0, 0.9)],
+             "AutoSklearn1": [(1.0, 0.5)],
+             "AutoSklearn2": [(1.0, 0.5), (2.0, 0.9)]},
+        )
+        # (1, 0.5) is drawn over twice, (2, 0.9) once
+        assert "overwritten cells: 3" in text
+
     def test_ascii_scatter_log_axis(self):
         text = ascii_scatter(
             {"a": [(1e-5, 0.1), (1e-1, 0.9)]}, logx=True,

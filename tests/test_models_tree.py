@@ -4,6 +4,7 @@ import pytest
 from repro.exceptions import NotFittedError
 from repro.metrics import balanced_accuracy_score
 from repro.models import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.models import tree as tree_module
 
 
 class TestClassifier:
@@ -134,3 +135,46 @@ class TestRegressor:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             DecisionTreeRegressor().fit(np.zeros((3, 1)), np.zeros(4))
+
+
+def _tree_arrays(model):
+    t = model.tree_
+    return [t.feature, t.threshold, t.left, t.right, t.value, t.depth]
+
+
+class TestExactFeatureBlocks:
+    """The exact search scans a node's candidate features in blocks sized
+    by ``_SCAN_BLOCK_ELEMENTS``; a one-feature block must grow the same
+    tree as one block holding every feature."""
+
+    @staticmethod
+    def _duplicated_columns():
+        rng = np.random.default_rng(4)
+        base = rng.integers(0, 5, (150, 3)).astype(float)
+        # columns 3-5 repeat 0-2: every gain ties between the two copies
+        X = np.hstack([base, base])
+        y = (base[:, 0] + base[:, 1] + rng.integers(0, 2, 150)) % 3
+        return X, y
+
+    @pytest.mark.parametrize("make", [
+        lambda: DecisionTreeClassifier(random_state=0),
+        lambda: DecisionTreeClassifier(criterion="entropy",
+                                       max_features=4, random_state=0),
+        lambda: DecisionTreeClassifier(splitter="random", random_state=0),
+        lambda: DecisionTreeRegressor(min_samples_leaf=2, random_state=0),
+    ])
+    def test_one_feature_blocks_grow_the_same_tree(self, make, monkeypatch):
+        X, y = self._duplicated_columns()
+        whole = make().fit(X, y)
+        monkeypatch.setattr(tree_module, "_SCAN_BLOCK_ELEMENTS", 1)
+        blocked = make().fit(X, y)
+        for a, b in zip(_tree_arrays(whole), _tree_arrays(blocked)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_tied_copies_resolve_to_the_first_column(self, monkeypatch):
+        X, y = self._duplicated_columns()
+        monkeypatch.setattr(tree_module, "_SCAN_BLOCK_ELEMENTS", 1)
+        for make in (DecisionTreeClassifier, DecisionTreeRegressor):
+            tree = make(random_state=0).fit(X, y).tree_
+            used = set(tree.feature[tree.feature >= 0].tolist())
+            assert used and used <= {0, 1, 2}

@@ -14,8 +14,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import ExperimentConfig, run_grid
 from repro.experiments.results import RunRecord
 from repro.runtime import canonical_state_bytes, merge_journals
+from repro.runtime.journal import _commit_rank, _event_sort_key
 
 MERGE_SETTINGS = settings(
     max_examples=30, deadline=None,
@@ -202,3 +204,49 @@ class TestMergeTolerance:
             torn = merge_journals(paths)
             assert torn.state.skipped_lines == 0
             assert torn.canonical_bytes() == reference
+
+
+def _eager(lead):
+    """The order key as it was written before ties were serialised
+    lazily: every event dumped to canonical JSON up front."""
+    return lambda e: lead(e) + (json.dumps(e, sort_keys=True),)
+
+
+def test_traced_journal_fold_matches_the_eager_key(tmp_path):
+    """The fold serialises an event only to break a tie in its leading
+    fields; its event order and commit winners are still those of the
+    eager ``(fields..., canonical JSON)`` key."""
+    journal = tmp_path / "traced.jsonl"
+    run_grid(ExperimentConfig(systems=("TabPFN", "CAML"),
+                              datasets=("credit-g",), budgets=(10.0,),
+                              n_runs=1, time_scale=0.004),
+             journal_path=journal, trace=True)
+    events = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert any(e["type"] == "spans" for e in events)
+    # twins that tie every leading field: only the JSON tiebreak orders
+    # them, and only it picks between the twin commits
+    twins = []
+    for event in events:
+        if event["type"] in ("spans", "cell"):
+            twin = json.loads(json.dumps(event))
+            if event["type"] == "spans":
+                twin["spans"] = []
+            else:
+                twin["record"]["balanced_accuracy"] = 0.5
+            twins.append(twin)
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text("".join(json.dumps(e) + "\n"
+                               for e in events + twins))
+
+    merged = merge_journals([doubled])
+    body = [e for e in merged.events
+            if e["type"] not in ("campaign", "metrics")]
+    assert body == sorted(body, key=_eager(_event_sort_key))
+    assert sum(e["type"] == "spans" for e in body) == 2 * sum(
+        e["type"] == "spans" for e in events)
+    cells = [e for e in events + twins if e["type"] == "cell"]
+    for key in {e["key"] for e in cells}:
+        winner = min((e for e in cells if e["key"] == key),
+                     key=_eager(_commit_rank))
+        assert merged.state.completed[key] == RunRecord(**winner["record"])
+    assert merged.dedup_commits == len(cells) // 2
