@@ -9,8 +9,7 @@ off), and the drained capture travels back to the parent inside the
 outcome dict, where the committed attempt's trials are stamped with
 the cell identity and ingested into the :class:`EvalStore`.
 
-The slot is *thread*-local, not merely process-local like the tracer:
-a sharded coordinator with ``workers=1`` executes cells in-thread from
+The slot is *thread*-local, like the tracer's: a sharded coordinator with ``workers=1`` executes cells in-thread from
 several shard threads of one process, and a shared slot would
 interleave concurrent cells' trials (corrupting the store digest's
 layout-invariance).  Pool workers are single-threaded, so thread-local
@@ -60,9 +59,9 @@ class TrialCapture:
         return trials
 
 
-#: the thread-local capture slot (the tracer-slot pattern, narrowed to
-#: per-thread: each executing thread installs its own, the parent
-#: never reads another thread's slot)
+#: the thread-local capture slot (the tracer-slot pattern: each
+#: executing thread installs its own, the parent never reads another
+#: thread's slot)
 _SLOT = threading.local()  # repro-lint: disable=GRN102  # per-thread capture slot
 
 

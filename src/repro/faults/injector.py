@@ -1,21 +1,22 @@
 """Stateful fault injection against a :class:`FaultPlan`.
 
-One :class:`FaultInjector` instance lives per process (the parent owns
-one for the cache/journal seams; each worker call builds one from the
-serialised plan for the cell-level seams).  It layers the stateful
-firing modes (``one_shot``, ``burst``, ``max_faults``) and a fired-event
-ledger on top of the plan's pure per-key decisions, and provides the
-concrete misbehaviours the seams need: raising, stalling, and garbling
-payload bytes.
+A :class:`FaultInjector` owns the stateful seams: the campaign parent
+holds one for the cache/journal/store seams, each shard one for its
+segment tears, the prediction server one for request stalls.  (The
+worker-side cell seams need no injector: a worker acts on the plan's
+pure decisions, :func:`repro.runtime.executor.planned_worker_faults`.)
+It layers the stateful firing modes (``one_shot``, ``burst``,
+``max_faults``) and a fired-event ledger on top of the plan's pure
+per-key decisions, and provides the concrete misbehaviours the seams
+need: raising, delaying, and garbling payload bytes.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from repro.exceptions import InjectedFault, RaplUnavailableError
-from repro.faults.plan import SEAM_RAPL_READ, SEAM_SLOW_CELL, FaultPlan
+from repro.exceptions import InjectedFault
+from repro.faults.plan import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -83,26 +84,6 @@ class FaultInjector:
         if not self.fire(seam, key):
             return 0.0
         return self.plan.seams[seam].delay_s
-
-    def stall(self, key: str) -> None:
-        """Burn real wall time for the ``slow_cell`` seam.
-
-        Chaos deliberately stalls a worker past ``cell_timeout_s``; this
-        is the one sanctioned blocking sleep outside the injectable
-        RetryPolicy hooks, and it never runs unless a plan arms the seam.
-        """
-        delay = self.delay_s(SEAM_SLOW_CELL, key)
-        if delay > 0:
-            time.sleep(delay)   # repro-lint: disable=GRN004
-
-    def rapl_hook(self, key: str) -> None:
-        """The failure hook a :class:`~repro.energy.rapl.RaplCounter`
-        runs before every read: raises when the ``rapl_read`` seam
-        fires, forcing the tracker onto its estimated fallback."""
-        if self.fire(SEAM_RAPL_READ, key):
-            raise RaplUnavailableError(
-                f"injected RAPL counter loss for {key}"
-            )
 
     # -- accounting ------------------------------------------------------------
     def fired_counts(self) -> dict[str, int]:

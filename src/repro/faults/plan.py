@@ -127,7 +127,8 @@ class FaultPlan:
 
         Stateful modes (``one_shot``/``burst``/``max_faults``) need an
         :class:`~repro.faults.injector.FaultInjector`; this pure form is
-        what parent-side accounting of worker-side seams relies on.
+        what the worker-side seams fire on, so the parent can account
+        for them without hearing back.
         """
         spec = self.seams.get(seam)
         if spec is None or spec.rate <= 0.0:

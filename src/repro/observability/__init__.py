@@ -5,7 +5,7 @@ time and energy go inside each AutoML system.  This package is the
 instrumentation layer the rest of the stack threads through:
 
 - :mod:`repro.observability.tracing` — lightweight hierarchical spans.
-  A process-local :class:`Tracer` with an *injected* clock (default: a
+  A per-thread :class:`Tracer` with an *injected* clock (default: a
   deterministic tick counter, so GRN004 stays clean and span trees are
   reproducible under the simulated budget clock) records one tree per
   cell: ``cell`` → ``fit`` → ``search`` → ``trial``/``ensemble``/

@@ -7,7 +7,7 @@ serialises into the campaign journal unchanged)::
      "attrs": {"digest": "a1b2c3", "charged": 0.12},
      "children": [...]}
 
-The :class:`Tracer` is process-local and *explicitly clocked*: the
+The :class:`Tracer` is per-thread and *explicitly clocked*: the
 default clock is a deterministic tick counter (monotone +1 per read),
 which keeps GRN004 satisfied — this module never touches the wall clock
 — and makes span trees bit-reproducible for a fixed execution.  Callers
@@ -19,12 +19,13 @@ domain (a worker's tick-clocked tree nests under the executor's
 wall-clocked ``execute`` span).
 
 Tracing is disabled by default: :func:`trace_span` is a no-op until a
-tracer is installed, so the hot path pays one global read per
+tracer is installed, so the hot path pays one thread-local read per
 instrumentation point when observability is off.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Callable
 
@@ -49,7 +50,7 @@ def make_span(name: str, t0: float, clock: str, attrs: dict) -> dict:
 
 
 class Tracer:
-    """Process-local span collector.
+    """Span collector for one thread.
 
     ``clock`` is any zero-argument callable returning a monotone float;
     ``None`` selects the deterministic tick counter.  Completed root
@@ -116,32 +117,37 @@ class Tracer:
         return roots
 
 
-#: the process-local tracer; None = tracing disabled (all hooks no-op)
-_TRACER: Tracer | None = None
+class _TracerSlot(threading.local):
+    #: the calling thread's tracer; None = tracing disabled (all hooks
+    #: no-op).  A class default, so a fresh thread reads None.
+    tracer: Tracer | None = None
+
+
+#: the per-thread tracer slot: each pool worker installs its own tracer
+#: and ships drained spans back through the outcome dict, and each shard
+#: thread of an in-thread sharded campaign traces its own cells without
+#: seeing another thread's spans
+_SLOT = _TracerSlot()  # repro-lint: disable=GRN102  # per-thread tracer slot
 
 
 def install_tracer(tracer: Tracer) -> Tracer:
-    global _TRACER
-    # process-local by design: each worker installs its own tracer and
-    # ships drained spans back through the outcome dict, never memory
-    _TRACER = tracer  # repro-lint: disable=GRN102  # per-process tracer slot
+    _SLOT.tracer = tracer
     return tracer
 
 
 def uninstall_tracer() -> None:
-    global _TRACER
-    _TRACER = None  # repro-lint: disable=GRN102  # per-process tracer slot
+    _SLOT.tracer = None
 
 
 def get_tracer() -> Tracer | None:
-    return _TRACER
+    return _SLOT.tracer
 
 
 @contextmanager
 def trace_span(name: str, **attrs):
-    """Open a span on the installed tracer; yields the span dict (or
-    None when tracing is off, the fast path every hot loop takes)."""
-    tracer = _TRACER
+    """Open a span on the calling thread's tracer; yields the span dict
+    (or None when tracing is off, the fast path every hot loop takes)."""
+    tracer = _SLOT.tracer
     if tracer is None:
         yield None
         return
@@ -150,8 +156,8 @@ def trace_span(name: str, **attrs):
 
 
 def current_span() -> dict | None:
-    """The innermost open span of the installed tracer, if any."""
-    tracer = _TRACER
+    """The innermost open span of the calling thread's tracer, if any."""
+    tracer = _SLOT.tracer
     return tracer.current if tracer is not None else None
 
 

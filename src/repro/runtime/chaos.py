@@ -33,7 +33,6 @@ whose named checks encode the contract chaos must never break:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import warnings
@@ -455,26 +454,6 @@ def shard_chaos_plan(seed: int, torn_rate: float = 0.4) -> FaultPlan:
     })
 
 
-def _torn_tails(paths) -> int:
-    """How many of ``paths`` end in an unparseable (torn) final line —
-    the tears :func:`iter_journal_events` silently drops."""
-    tails = 0
-    for path in paths:
-        path = Path(path)
-        if not path.exists():
-            continue
-        lines = [line for line
-                 in path.read_text(encoding="utf-8").splitlines()
-                 if line.strip()]
-        if not lines:
-            continue
-        try:
-            json.loads(lines[-1])["type"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            tails += 1
-    return tails
-
-
 def run_shard_chaos_campaign(
     seed: int,
     work_dir,
@@ -637,14 +616,13 @@ def run_shard_chaos_campaign(
 
     # -- every torn segment line accounted ------------------------------------
     injected_tears = report.fault_counts.get(SEAM_SEGMENT_TORN, 0)
-    tails = _torn_tails(segments)
-    accounted = merged.state.skipped_lines + tails
+    accounted = merged.state.skipped_lines + merged.torn_tails
     check(ChaosCheck(
         "torn-segments-accounted",
         accounted == injected_tears,
         f"{injected_tears} injected tear(s) = "
         f"{merged.state.skipped_lines} skipped line(s) + "
-        f"{tails} torn tail(s)",
+        f"{merged.torn_tails} torn tail(s)",
     ))
 
     # -- the merge is order-independent ---------------------------------------

@@ -35,8 +35,8 @@ Failure handling, outermost to innermost:
 - :func:`run_single` already degrades unsupported tasks to the
   class-prior baseline record;
 - anything escaping that (worker crash, timeout, pickling trouble) is
-  retried ``max_retries`` times with backoff, the cell rejoining the
-  back of the queue each time, then *quarantined*: the cell is recorded
+  retried ``max_retries`` times, the cell rejoining the back of the
+  queue at once each time, then *quarantined*: the cell is recorded
   as a failed prior-baseline record so one pathological cell cannot
   sink a multi-hour campaign.
 
@@ -65,16 +65,15 @@ import multiprocessing
 import os
 import queue as queue_mod
 import time
-import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 from repro.datasets.loaders import dataset_cache_hits, load_dataset
 from repro.evalstore.capture import install_capture, uninstall_capture
-from repro.exceptions import BudgetBelowMinimumError
+from repro.exceptions import BudgetBelowMinimumError, RaplUnavailableError
 from repro.experiments.results import ResultsStore, RunRecord
 from repro.experiments.runner import baseline_record
 from repro.faults import (
@@ -103,65 +102,26 @@ from repro.runtime.progress import ProgressTracker
 _INFLIGHT_PER_WORKER = 2
 
 
-def backoff_jitter(seed: int, draw: int) -> float:
-    """Deterministic jitter draw in [0, 1) for backoff number ``draw``.
-
-    A sha256 counter hash (same construction as
-    :func:`repro.faults.plan._uniform`), so N shards retrying the same
-    poisoned dataset de-stampede without any global RNG: each shard's
-    policy carries its own ``jitter_seed`` and the sequence per seed is
-    pinned by a regression test.
-    """
-    import hashlib
-
-    digest = hashlib.sha256(f"backoff|{seed}|{draw}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
-
-
 @dataclass
 class RetryPolicy:
-    """Bounded retries with linear backoff, then quarantine.
+    """Bounded retries, then quarantine.
 
-    ``sleep`` is the blocking hook the backoff runs through and
-    ``clock`` the monotonic source the pooled scheduler checks per-cell
-    deadlines against; both default to the real ``time`` functions
-    (referenced, not called, so the executor stays wall-clock-free) and
-    tests inject fakes to make retry/timeout paths instant.
+    A failed cell rejoins the back of the queue at once, ``max_retries``
+    times, before it is quarantined.  ``clock`` is the monotonic source
+    the pooled scheduler checks per-cell deadlines against; it defaults
+    to the real ``time.monotonic`` (referenced, not called, so the
+    executor stays wall-clock-free) and tests inject fakes to make
+    timeout paths instant.
 
     ``poll_interval_s`` bounds how long the pooled scheduler blocks
     waiting for a completion when deadlines are armed — it is the
     resolution of timeout enforcement, not a busy-wait.
-
-    ``jitter_ratio`` spreads each backoff by a seeded deterministic
-    factor in ``[1 - ratio, 1 + ratio)`` — injectable like ``sleep``/
-    ``clock`` in the sense that the stream is a pure function of
-    ``jitter_seed`` and the draw counter, so retries across N shards
-    (each shard gets a distinct seed) never stampede in lockstep yet
-    replay identically for the same seed.
     """
 
     max_retries: int = 1
-    retry_backoff_s: float = 0.0
     cell_timeout_s: float | None = None
-    sleep: Callable[[float], None] = time.sleep
     clock: Callable[[], float] = time.monotonic
     poll_interval_s: float = 0.05
-    jitter_ratio: float = 0.0
-    jitter_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.jitter_ratio <= 1.0:
-            raise ValueError("jitter_ratio must be in [0, 1]")
-        self._jitter_draws = 0
-
-    def backoff_delay(self, attempts: int) -> float:
-        """The (possibly jittered) delay before retry ``attempts``."""
-        delay = self.retry_backoff_s * attempts
-        if delay <= 0.0 or self.jitter_ratio <= 0.0:
-            return max(delay, 0.0)
-        self._jitter_draws += 1
-        u = backoff_jitter(self.jitter_seed, self._jitter_draws)
-        return delay * (1.0 + self.jitter_ratio * (2.0 * u - 1.0))
 
 
 @dataclass
@@ -200,7 +160,7 @@ def _fault_key(spec: CellSpec, attempt: int) -> str:
 def planned_worker_faults(plan: FaultPlan, key: str) -> list[tuple[str, str]]:
     """The worker-side faults the submission ``key`` fires under ``plan``.
 
-    Follows the worker's check order in :func:`_execute_cell_inner`:
+    The worker acts on exactly this list in :func:`_execute_cell_inner`:
     death short-circuits the rest, a stall may precede an injected cell
     error, and an injected cell error prevents the RAPL probe.  A pure
     function of ``(plan, key)``, so the parent can account for faults a
@@ -218,18 +178,13 @@ def planned_worker_faults(plan: FaultPlan, key: str) -> list[tuple[str, str]]:
     return events
 
 
-def _error_outcome(failure: FailureRecord, error: str | None = None,
-                   injector: FaultInjector | None = None) -> dict:
-    outcome = {
+def _error_outcome(failure: FailureRecord) -> dict:
+    return {
         "status": "error",
-        "error": error if error is not None else failure.describe(),
         "failure": failure.as_dict(),
         "pid": os.getpid(),
         "warm_hits": dataset_cache_hits(),
     }
-    if injector is not None:
-        outcome["faults"] = injector.event_keys()
-    return outcome
 
 
 def _execute_cell(spec: CellSpec, token: int | None = None,
@@ -238,16 +193,16 @@ def _execute_cell(spec: CellSpec, token: int | None = None,
                   capture: bool = False) -> dict:
     """Worker entry point (module-level so it pickles).
 
-    Installs a process-local :class:`Tracer` when ``trace_mode`` is set
-    (``"ticks"`` for the deterministic counter, ``"wall"`` for real
-    durations via :func:`worker_now`), runs the cell, then ships the
-    drained span trees back as ``outcome["spans"]`` and the worker's
-    metrics registry as ``outcome["metrics"]`` — dicts pickle through
-    the pool, so the parent merges both without shared state.  Metrics
-    are drained even when tracing is off: the registry counters
-    (trial/cache instrumentation) are always-on telemetry.
+    Installs a :class:`Tracer` in the calling thread's slot when
+    ``trace_mode`` is set (``"ticks"`` for the deterministic counter,
+    ``"wall"`` for real durations via :func:`worker_now`), runs the
+    cell, then ships the drained span trees back as ``outcome["spans"]``
+    and the worker's metrics registry as ``outcome["metrics"]`` — dicts
+    pickle through the pool, so the parent merges both without shared
+    state.  Metrics are drained even when tracing is off: the registry
+    counters (trial/cache instrumentation) are always-on telemetry.
 
-    ``capture=True`` installs a process-local
+    ``capture=True`` installs a per-thread
     :class:`~repro.evalstore.capture.TrialCapture` for the duration of
     the cell, and ships the drained trial payloads back as
     ``outcome["trials"]`` on success — the parent ingests them into the
@@ -296,8 +251,9 @@ def _execute_cell_inner(spec: CellSpec, token: int | None,
     pooled mode only — in serial mode it degrades to an injected error),
     a wall-clock stall designed to trip ``cell_timeout_s``, an exception
     in place of the cell function, and a failing RAPL read inside the
-    energy meter.  Error outcomes carry a structured ``failure`` payload
-    and the worker's fired-fault ledger.
+    energy meter.  Error outcomes carry a structured ``failure`` payload;
+    the parent accounts the fired faults itself through
+    :func:`planned_worker_faults`.
     """
     from repro.experiments.runner import run_single
     from repro.runtime.progress import worker_now
@@ -307,12 +263,12 @@ def _execute_cell_inner(spec: CellSpec, token: int | None,
             _START_CHANNEL.put((os.getpid(), token, worker_now()))
         except (OSError, ValueError):
             pass   # telemetry channel loss must never fail the cell
-    injector = None
     energy_meter = None
     key = _fault_key(spec, attempt)
     if fault_plan is not None:
-        injector = FaultInjector(FaultPlan.from_dict(fault_plan))
-        if injector.fire(SEAM_WORKER_DEATH, key):
+        plan = FaultPlan.from_dict(fault_plan)
+        fired = {seam for seam, _ in planned_worker_faults(plan, key)}
+        if SEAM_WORKER_DEATH in fired:
             if token is not None:
                 os._exit(86)   # hard worker death: no cleanup, no result
             failure = FailureRecord(
@@ -320,19 +276,29 @@ def _execute_cell_inner(spec: CellSpec, token: int | None,
                 f"injected worker death for {key} (serial mode)",
                 injected=True,
             )
-            return _error_outcome(failure, injector=injector)
-        injector.stall(key)
-        if injector.fire(SEAM_CELL_ERROR, key):
+            return _error_outcome(failure)
+        if SEAM_SLOW_CELL in fired:
+            # chaos stalls the worker past ``cell_timeout_s``: the one
+            # sanctioned fault stall, run only when a plan arms it
+            time.sleep(plan.seams[SEAM_SLOW_CELL].delay_s)  # repro-lint: disable=GRN004
+        if SEAM_CELL_ERROR in fired:
             failure = FailureRecord(
                 "InjectedFault", SEAM_CELL_ERROR, attempt,
                 f"injected cell error for {key}", injected=True,
             )
-            return _error_outcome(failure, injector=injector)
-        if injector.plan.seams.get(SEAM_RAPL_READ) is not None:
+            return _error_outcome(failure)
+        if plan.seams.get(SEAM_RAPL_READ) is not None:
             from repro.energy.tracker import EnergyTracker
 
+            def lose_rapl():
+                raise RaplUnavailableError(
+                    f"injected RAPL counter loss for {key}"
+                )
+
+            # armed whenever the plan names the seam, fired or not: the
+            # meter's energy span is part of the cell's traced tree
             energy_meter = EnergyTracker(
-                fault_hook=lambda: injector.rapl_hook(key)
+                fault_hook=lose_rapl if SEAM_RAPL_READ in fired else None
             )
     try:
         dataset = load_dataset(spec.dataset)
@@ -348,16 +314,10 @@ def _execute_cell_inner(spec: CellSpec, token: int | None,
                 "warm_hits": dataset_cache_hits()}
     except Exception as exc:
         return _error_outcome(
-            FailureRecord.from_exception(exc, seam="cell", attempt=attempt),
-            error=traceback.format_exc(), injector=injector,
+            FailureRecord.from_exception(exc, seam="cell", attempt=attempt)
         )
-    from dataclasses import asdict
-
-    outcome = {"status": "ok", "record": asdict(record),
-               "pid": os.getpid(), "warm_hits": dataset_cache_hits()}
-    if injector is not None:
-        outcome["faults"] = injector.event_keys()
-    return outcome
+    return {"status": "ok", "record": asdict(record),
+            "pid": os.getpid(), "warm_hits": dataset_cache_hits()}
 
 
 class CampaignExecutor:
@@ -684,55 +644,35 @@ class CampaignExecutor:
         self.metrics.counter("cells.skipped").inc()
         self.tracker.update(kind="skipped", label=item.spec.label())
 
-    @staticmethod
-    def _coerce_failure(failure, attempt: int) -> FailureRecord:
-        """Accept a :class:`FailureRecord` or a legacy error string and
-        return a structured record stamped with ``attempt``."""
-        from dataclasses import replace as dc_replace
-
-        if isinstance(failure, FailureRecord):
-            return dc_replace(failure, attempt=attempt)
-        return FailureRecord.from_error_text(
-            str(failure), seam="cell", attempt=attempt,
-        )
-
-    def _note_failure(self, item: _Pending, failure) -> FailureRecord:
+    def _note_failure(self, item: _Pending,
+                      failure: FailureRecord) -> FailureRecord:
+        """Count and journal one failed attempt; returns ``failure``
+        stamped with the attempt number."""
         self.metrics.counter("cells.failed_attempts").inc()
         item.attempts += 1
-        record = self._coerce_failure(failure, item.attempts)
+        record = replace(failure, attempt=item.attempts)
         if self.journal is not None:
             self.journal.record_failure(
-                item.index, item.key, item.attempts, failure=record,
+                item.index, item.key, item.attempts, record,
             )
         return record
 
     def _exhausted(self, item: _Pending) -> bool:
         return item.attempts > self.policy.max_retries
 
-    def _quarantine(self, item: _Pending, results, failure,
+    def _quarantine(self, item: _Pending, results,
+                    failure: FailureRecord,
                     worker: int | None = None) -> None:
+        """Commit the prior-baseline record for a cell out of retries;
+        ``failure`` is already stamped by :meth:`_note_failure`."""
         self.metrics.counter("cells.quarantined").inc()
-        record = self._coerce_failure(failure, item.attempts)
         spec = item.spec
         baseline = baseline_record(
             spec.system, load_dataset(spec.dataset), spec.budget_s,
             seed=spec.seed, n_cores=spec.n_cores, use_gpu=spec.use_gpu,
-            note=record.to_note(item.attempts),
+            note=failure.to_note(item.attempts),
         )
         self._commit(item, baseline, results, worker)
-
-    def _backoff(self, item: _Pending) -> None:
-        if self.policy.retry_backoff_s > 0:
-            self.policy.sleep(self.policy.backoff_delay(item.attempts))
-
-    @staticmethod
-    def _outcome_failure(outcome: dict):
-        """The structured failure an error outcome carries (falls back
-        to the legacy traceback string for pre-taxonomy outcomes)."""
-        payload = outcome.get("failure")
-        if payload:
-            return FailureRecord.from_dict(payload)
-        return outcome.get("error", "")
 
     def _settle(self, item: _Pending, outcome: dict, results, todo,
                 started: float | None = None) -> None:
@@ -761,7 +701,8 @@ class CampaignExecutor:
             self._commit_skip(item, outcome["note"])
         else:
             self._requeue_or_quarantine(
-                item, results, todo, self._outcome_failure(outcome),
+                item, results, todo,
+                FailureRecord.from_dict(outcome["failure"]),
                 outcome.get("pid"),
             )
 
@@ -773,7 +714,6 @@ class CampaignExecutor:
         if self._exhausted(item):
             self._quarantine(item, results, record, worker)
         else:
-            self._backoff(item)
             todo.append(item)
 
     # -- serial path (workers=1): in-process, cell by cell --------------------

@@ -16,7 +16,7 @@ Event types::
     {"type": "cell", "index": i, "key": k, "record": {...}}
     {"type": "skip", "index": i, "key": k, "note": "..."}
     {"type": "failure", "index": i, "key": k, "attempt": n,
-     "error": "...", "failure": {...}}
+     "failure": {...}}
     {"type": "spans", "index": i, "key": k, "attempt": n,
      "spans": [span tree dicts]}
     {"type": "metrics", "snapshot": {...}}
@@ -47,11 +47,11 @@ attempt and the final merged metrics snapshot.  Resume ignores both for
 result replay — they are telemetry, never inputs — which is what keeps
 a traced campaign's *results* bit-identical to an untraced one.
 
-Failure events carry both the structured ``failure`` payload (a
+Failure events carry one structured ``failure`` payload (a
 :class:`repro.faults.FailureRecord` dict: error type, seam, attempt,
-bounded message) and the legacy ``error`` string; journals written
-before the taxonomy existed replay fine — a missing ``failure`` is
-synthesised from the error text.
+bounded message).  Journals written before the taxonomy existed carry
+only an ``error`` string instead; they replay fine —
+:meth:`JournalState.failure_records` classifies that text on the fly.
 """
 
 from __future__ import annotations
@@ -70,35 +70,36 @@ from repro.observability import merge_snapshots
 from repro.storage import write_atomic
 
 
-def iter_journal_events(path) -> tuple[list[dict], int]:
-    """Leniently parse one JSONL journal into ``(events, skipped_lines)``.
+def iter_journal_events(path) -> tuple[list[dict], int, bool]:
+    """Leniently parse one JSONL journal into
+    ``(events, skipped_lines, torn_tail)``.
 
     The tolerance contract of :func:`merge_journals` (and so of
     :meth:`CampaignJournal.load`): a torn *final* line (the
-    crash/shard-death artefact) is silently ignored; a corrupt line
-    anywhere earlier is counted in ``skipped_lines`` so the replay keeps
-    going instead of truncating everything after the damage.
+    crash/shard-death artefact) is dropped and reported as
+    ``torn_tail``; a corrupt line anywhere earlier is counted in
+    ``skipped_lines`` so the replay keeps going instead of truncating
+    everything after the damage.
     """
     path = Path(path)
     if not path.exists():
-        return [], 0
+        return [], 0, False
     lines = [line for line
              in path.read_text(encoding="utf-8").splitlines()
              if line.strip()]
     events: list[dict] = []
     skipped = 0
     for position, line in enumerate(lines):
-        tail = position == len(lines) - 1
         try:
             event = json.loads(line)
             event["type"]
         except (json.JSONDecodeError, KeyError, TypeError):
-            if tail:
-                break   # torn tail from a crash mid-append
+            if position == len(lines) - 1:
+                return events, skipped, True   # crash mid-append
             skipped += 1
             continue
         events.append(event)
-    return events, skipped
+    return events, skipped, False
 
 
 @dataclass
@@ -210,23 +211,11 @@ class CampaignJournal:
         })
 
     def record_failure(self, index: int, key: str, attempt: int,
-                       error: str | None = None, *,
-                       failure: FailureRecord | None = None) -> None:
-        """Append one failed attempt.
-
-        New callers pass a structured ``failure``; the legacy ``error``
-        string form still works (and is classified into a
-        :class:`FailureRecord` so every journal line carries both).
-        """
-        if failure is None:
-            failure = FailureRecord.from_error_text(
-                error or "", seam="cell", attempt=attempt,
-            )
+                       failure: FailureRecord) -> None:
+        """Append one failed attempt's structured failure."""
         self._append({
             "type": "failure", "index": index, "key": key,
-            "attempt": attempt,
-            "error": error if error is not None else failure.describe(),
-            "failure": failure.as_dict(),
+            "attempt": attempt, "failure": failure.as_dict(),
         })
 
     def record_spans(self, index: int, key: str, attempt: int,
@@ -366,6 +355,8 @@ class MergedJournal:
     fenced_commits: int = 0
     #: duplicate commits between live epochs (steal/straggler races)
     dedup_commits: int = 0
+    #: inputs whose final line was torn (dropped, not damage)
+    torn_tails: int = 0
     #: the canonical event sequence (what :meth:`write` persists)
     events: list[dict] = field(default_factory=list)
     #: per-shard summary: epochs seen and heartbeat count
@@ -422,17 +413,21 @@ def merge_journals(paths) -> MergedJournal:
       canonical bytes;
     - **associative**: merging a written merge with the remaining
       segments equals merging everything at once (states equal;
-      fenced/dedup counters are per-merge diagnostics and reset);
+      fenced/dedup/torn counters are per-merge diagnostics and
+      reset);
     - **idempotent**: re-merging a merged journal is a fixed point;
-    - **tolerant**: a torn final line per segment is ignored; a corrupt
-      middle line, or a parseable commit whose record payload is
-      malformed, is counted in ``state.skipped_lines``.
+    - **tolerant**: a torn final line per segment is dropped and
+      counted in ``torn_tails``; a corrupt middle line, or a parseable
+      commit whose record payload is malformed, is counted in
+      ``state.skipped_lines``.
     """
     all_events: list[dict] = []
     skipped_lines = 0
+    torn_tails = 0
     for path in paths:
-        events, skipped = iter_journal_events(path)
+        events, skipped, torn = iter_journal_events(path)
         skipped_lines += skipped
+        torn_tails += torn
         all_events.extend(events)
 
     fenced: set[tuple[int, int]] = set()
@@ -443,7 +438,7 @@ def merge_journals(paths) -> MergedJournal:
 
     state = JournalState()
     state.skipped_lines = skipped_lines
-    merged = MergedJournal(state=state,
+    merged = MergedJournal(state=state, torn_tails=torn_tails,
                            fenced_epochs=sorted(fenced))
 
     headers = [e for e in all_events if e.get("type") == "campaign"]

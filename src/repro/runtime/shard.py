@@ -62,7 +62,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -142,15 +142,12 @@ class ShardPolicy:
     batch_size: int = 2
     lease_timeout_s: float = 5.0
     poll_interval_s: float = 0.05
-    #: how long a wedged shard waits to be fenced before straggling on
-    #: regardless (fallback so a lone shard cannot deadlock)
-    wedge_patience_s: float | None = None
     clock: Callable[[], float] = time.monotonic
     sleep: Callable[[float], None] = time.sleep
 
     def patience(self) -> float:
-        if self.wedge_patience_s is not None:
-            return self.wedge_patience_s
+        """How long a wedged shard waits to be fenced before straggling
+        on regardless (fallback so a lone shard cannot deadlock)."""
         return max(4.0 * self.lease_timeout_s, 1.0)
 
 
@@ -195,7 +192,6 @@ class ShardCoordinator:
                  fault_plan: FaultPlan | None = None,
                  trace: bool = False, trace_clock: str = "ticks",
                  quotas: dict[str, float] | None = None,
-                 quota_machine: MachineProfile = DEFAULT_MACHINE,
                  progress_callback=None, eval_store=None):
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -215,7 +211,6 @@ class ShardCoordinator:
         self.trace = trace
         self.trace_clock = trace_clock
         self.quotas = dict(quotas) if quotas else None
-        self.quota_machine = quota_machine
         self.progress_callback = progress_callback
 
         self._tmp_dir: str | None = None
@@ -256,15 +251,9 @@ class ShardCoordinator:
             shard=sid, torn_seam=SEAM_SEGMENT_TORN,
             fault_injector=injector,
         )
-        # distinct jitter seed per shard: retries against one poisoned
-        # dataset de-stampede instead of hammering it in lockstep
-        policy = dc_replace(
-            self.policy,
-            jitter_seed=self.policy.jitter_seed * 1009 + sid + 1,
-        )
         executor = CampaignExecutor(
             workers=self.workers, cache=self.cache, journal=journal,
-            resume=False, policy=policy, fault_plan=self.fault_plan,
+            resume=False, policy=self.policy, fault_plan=self.fault_plan,
             trace=self.trace, trace_clock=self.trace_clock,
             persistent=True, eval_store=self.eval_store,
         )
@@ -293,7 +282,7 @@ class ShardCoordinator:
             if budget is None:
                 admitted.append(index)
                 continue
-            cost = estimate_cell_joules(spec, self.quota_machine)
+            cost = estimate_cell_joules(spec)
             if cost <= budget:
                 remaining[spec.tenant] = budget - cost
                 admitted.append(index)
@@ -312,7 +301,7 @@ class ShardCoordinator:
                 use_gpu=spec.use_gpu, note=failure.to_note(0),
             )
             key = self._keys[index]
-            self._coord.record_failure(index, key, 0, failure=failure)
+            self._coord.record_failure(index, key, 0, failure)
             self._coord.record_cell(index, key, record, attempt=0)
             self._done[index] = record
             self.metrics.counter("shard.quota_quarantined").inc()

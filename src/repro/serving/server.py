@@ -67,6 +67,10 @@ SEAM_REQUEST_DEADLINE = "request_deadline"
 #: comparison slack for "waited max_wait_s" under float addition
 _WAIT_EPS = 1e-9
 
+#: fixed per-batch dispatch cost (simulated seconds) on top of the
+#: modelled inference time
+_DISPATCH_OVERHEAD_S = 1e-4
+
 
 @dataclass(frozen=True)
 class RequestBudget:
@@ -174,14 +178,6 @@ class MicroBatcher:
     def __len__(self) -> int:
         return len(self._pending)
 
-    @property
-    def rows_pending(self) -> int:
-        return self._rows
-
-    @property
-    def oldest_arrival(self) -> float | None:
-        return self._pending[0].arrival_s if self._pending else None
-
     def add(self, request: PredictionRequest) -> None:
         self._pending.append(request)
         self._rows += request.n_rows
@@ -236,7 +232,6 @@ class PredictionServer:
                  policy: BatchPolicy | None = None,
                  n_slots: int = 2,
                  machine=None,
-                 dispatch_overhead_s: float = 1e-4,
                  execute_predictions: bool = True,
                  span_sample_every: int = 1,
                  fault_injector: FaultInjector | None = None,
@@ -249,7 +244,6 @@ class PredictionServer:
         self.policy = policy or BatchPolicy()
         self.n_slots = n_slots
         self.machine = machine or DEFAULT_MACHINE
-        self.dispatch_overhead_s = dispatch_overhead_s
         self.execute_predictions = execute_predictions
         #: record the span tree of every Nth request (0 disables; 1 =
         #: every request, the chaos-audit setting)
@@ -372,14 +366,14 @@ class PredictionServer:
         artifact = self.router.artifact(variant)
         n_rows = sum(r.n_rows for r in batch)
         est = estimate_inference(artifact, n_rows, self.machine)
-        service_s = self.dispatch_overhead_s + est.seconds
+        service_s = _DISPATCH_OVERHEAD_S + est.seconds
         model_joules = est.kwh * JOULES_PER_KWH
         # the batch's full bill includes dispatch overhead; the router
         # only learns the model-attributable share, so its per-variant
         # estimates stay comparable to the manifest numbers instead of
         # being drowned by per-batch constants
         joules = (model_joules
-                  + self.machine.power(1) * self.dispatch_overhead_s)
+                  + self.machine.power(1) * _DISPATCH_OVERHEAD_S)
         t1 = now + service_s
         slots[variant][slot] = t1
         self._push(events, t1, "slot", variant)

@@ -237,16 +237,16 @@ class TestJournalSeams:
         assert records[0].error_type == "RuntimeError"
         assert records[0].message == "legacy boom"
 
-    def test_record_failure_writes_both_forms(self, tmp_path):
+    def test_record_failure_writes_one_structured_form(self, tmp_path):
         path = tmp_path / "j.jsonl"
+        failure = FailureRecord("ValueError", "cell", 1, "boom")
         with CampaignJournal(path) as journal:
-            journal.record_failure(0, "k0", 1, failure=FailureRecord(
-                "ValueError", "cell", 1, "boom",
-            ))
-        event = [json.loads(line) for line in
-                 path.read_text().splitlines()][0]
-        assert event["failure"]["error_type"] == "ValueError"
-        assert "ValueError" in event["error"]
+            journal.record_failure(0, "k0", 1, failure)
+        (event,) = [json.loads(line) for line in
+                    path.read_text().splitlines()]
+        assert event == {"type": "failure", "index": 0, "key": "k0",
+                         "attempt": 1, "failure": failure.as_dict()}
+        assert CampaignJournal.load(path).failure_records() == [failure]
 
 
 class TestRaplDegradation:

@@ -6,6 +6,7 @@ tracing on/off).
 """
 
 import json
+import threading
 from dataclasses import asdict
 
 import pytest
@@ -92,6 +93,39 @@ class TestTracer:
         roots = tracer.drain()
         assert len(roots) == 1
         assert validate_span_tree(roots[0]) == []
+
+    def test_tracer_slot_is_per_thread(self):
+        """Two threads trace at once (an in-thread sharded campaign):
+        each thread's spans land only in its own tracer."""
+        barrier = threading.Barrier(2)
+        drained: dict[str, list] = {}
+
+        def traced(name):
+            tracer = install_tracer(Tracer())
+            try:
+                barrier.wait(timeout=10)   # both tracers installed
+                with trace_span("cell", owner=name):
+                    barrier.wait(timeout=10)   # both roots open at once
+                    with trace_span("fit", owner=name):
+                        barrier.wait(timeout=10)
+            finally:
+                uninstall_tracer()
+            drained[name] = tracer.drain()
+
+        threads = [threading.Thread(target=traced, args=(name,))
+                   for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert get_tracer() is None   # this thread never installed one
+        assert sorted(drained) == ["a", "b"]
+        for name, roots in drained.items():
+            assert len(roots) == 1
+            assert [(s["name"], s["attrs"]["owner"])
+                    for s, _ in iter_spans(roots[0])] \
+                == [("cell", name), ("fit", name)]
 
     def test_wall_clock_tracer_tags_domain(self):
         fake = iter(range(100))
@@ -233,6 +267,33 @@ class TestTracedCampaign:
         assert len(metrics_events) == 1
         assert "cells.executed" in metrics_events[0]["snapshot"]
         assert telemetry["metrics"]["trials.evaluated"]["value"] > 0
+
+    def test_sharded_in_thread_spans_stay_with_their_cell(self, tmp_path):
+        """Shard threads trace concurrently in one process: every spans
+        event must hold exactly one worker root, the ``cell`` span of
+        the cell its index committed."""
+        journal_path = tmp_path / "j.jsonl"
+        config = ExperimentConfig(
+            systems=("CAML", "FLAML"), datasets=("credit-g", "kc1"),
+            budgets=(10.0,), n_runs=2, time_scale=0.004,
+        )
+        run_grid(config, shards=2, workers=1, trace=True,
+                 journal_path=journal_path)
+        events = [json.loads(line)
+                  for line in journal_path.read_text().splitlines()]
+        records = {e["index"]: e["record"]
+                   for e in events if e["type"] == "cell"}
+        spans_events = [e for e in events if e["type"] == "spans"]
+        assert {e["index"] for e in spans_events} == set(records)
+        for event in spans_events:
+            (root,) = event["spans"]
+            (execute,) = [child for child in root["children"]
+                          if child["name"] == "execute"]
+            (cell,) = execute["children"]
+            record = records[event["index"]]
+            assert cell["name"] == "cell"
+            assert [cell["attrs"][k] for k in ("system", "dataset", "seed")] \
+                == [record["system"], record["dataset"], record["seed"]]
 
     def test_untraced_journal_has_no_observability_records(self, tmp_path):
         journal_path = tmp_path / "j.jsonl"

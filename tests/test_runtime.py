@@ -10,6 +10,7 @@ import pytest
 from repro.datasets.loaders import load_dataset
 from repro.experiments import ExperimentConfig, grid_cells, run_grid
 from repro.experiments.results import RunRecord
+from repro.faults import SEAM_CELL_ERROR, FailureRecord, FaultPlan
 from repro.runtime import (
     CampaignExecutor,
     CampaignJournal,
@@ -37,6 +38,10 @@ def _record(**over):
         inference_seconds_per_instance=1e-6,
     )
     return RunRecord(**{**base, **over})
+
+
+def _failure(message):
+    return FailureRecord("RuntimeError", "cell", 1, message)
 
 
 class TestCellSpec:
@@ -118,12 +123,12 @@ class TestJournal:
             journal.open_campaign(3)
             journal.record_cell(0, "k0", record)
             journal.record_skip(1, "k1", "below min budget")
-            journal.record_failure(2, "k2", 1, "boom")
+            journal.record_failure(2, "k2", 1, _failure("boom"))
         state = CampaignJournal.load(path)
         assert state.n_cells == 3
         assert state.completed["k0"] == record
         assert state.skipped == {"k1"}
-        assert state.failures[0]["error"] == "boom"
+        assert state.failure_records() == [_failure("boom")]
 
     def test_torn_tail_is_tolerated(self, tmp_path, recwarn):
         path = tmp_path / "j.jsonl"
@@ -136,6 +141,20 @@ class TestJournal:
         assert list(state.completed) == ["k0"]
         assert state.skipped_lines == 0     # a torn tail is not damage
         assert len(recwarn) == 0
+
+    def test_merge_counts_torn_tails(self, tmp_path):
+        from repro.runtime import merge_journals
+
+        torn, whole = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for index, path in enumerate((torn, whole)):
+            with CampaignJournal(path, shard=index) as journal:
+                journal.record_cell(index, f"k{index}", _record(seed=index))
+        with open(torn, "a") as fh:
+            fh.write('{"type": "cell", "index": 2, "key')   # crash artefact
+        merged = merge_journals([torn, whole])
+        assert merged.torn_tails == 1
+        assert merged.state.skipped_lines == 0
+        assert sorted(merged.state.completed) == ["k0", "k1"]
 
     def test_corrupt_middle_line_is_skipped_with_warning(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -168,10 +187,10 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
             journal.open_campaign(2)
-            journal.record_failure(1, "k1", 1, "boom")
+            journal.record_failure(1, "k1", 1, _failure("boom"))
             journal.record_spans(1, "k1", 0, [])
             journal.record_cell(1, "k1", _record(seed=1), attempt=1)
-            journal.record_failure(0, "k0", 1, "bang")
+            journal.record_failure(0, "k0", 1, _failure("bang"))
             journal.record_spans(0, "k0", 0, [])
             journal.record_cell(0, "k0", _record(seed=0), attempt=0)
             journal.record_metrics(first.snapshot())
@@ -255,7 +274,7 @@ class TestExecutor:
         journal_path = tmp_path / "j.jsonl"
         executor = CampaignExecutor(
             workers=1, journal=CampaignJournal(journal_path),
-            policy=RetryPolicy(max_retries=2, retry_backoff_s=0.0),
+            policy=RetryPolicy(max_retries=2),
         )
         store = executor.run(_cells(systems=("CAML",)))
         assert len(calls) == 3   # first try + 2 retries
@@ -267,25 +286,44 @@ class TestExecutor:
                   in journal_path.read_text().splitlines()]
         assert sum(e["type"] == "failure" for e in events) == 3
 
-    def test_retry_backoff_runs_through_injected_sleep(
-            self, monkeypatch):
+    def test_faulted_cell_journals_one_failure_form(self, tmp_path):
+        journal_path = tmp_path / "j.jsonl"
+        CampaignExecutor(
+            workers=1, journal=CampaignJournal(journal_path),
+            policy=RetryPolicy(max_retries=1),
+            fault_plan=FaultPlan.uniform(0, (SEAM_CELL_ERROR,), 1.0),
+        ).run(_cells(systems=("CAML",)))
+        failures = [event for event in map(
+            json.loads, journal_path.read_text().splitlines())
+            if event["type"] == "failure"]
+        assert [event["attempt"] for event in failures] == [1, 2]
+        for event in failures:
+            assert set(event) == {"type", "index", "key", "attempt",
+                                  "failure"}
+            assert event["failure"]["attempt"] == event["attempt"]
+            assert event["failure"]["seam"] == SEAM_CELL_ERROR
+
+    @pytest.mark.parametrize("injected", [True, False])
+    def test_error_outcome_carries_only_the_structured_failure(
+            self, monkeypatch, injected):
         import repro.experiments.runner as runner_mod
+        from repro.runtime.executor import _execute_cell
 
         def explode(*args, **kwargs):
             raise RuntimeError("injected worker crash")
 
         monkeypatch.setattr(runner_mod, "run_single", explode)
-        naps = []
-        executor = CampaignExecutor(
-            workers=1,
-            policy=RetryPolicy(max_retries=2, retry_backoff_s=10.0,
-                               sleep=naps.append),
+        plan = FaultPlan.uniform(0, (SEAM_CELL_ERROR,), 1.0)
+        outcome = _execute_cell(
+            _cells(systems=("CAML",))[0],
+            fault_plan=plan.to_dict() if injected else None,
         )
-        store = executor.run(_cells(systems=("CAML",)))
-        # linear backoff: 10s after attempt 1, 20s after attempt 2 —
-        # recorded by the hook, zero real seconds slept
-        assert naps == [10.0, 20.0]
-        assert store.records[0].failed
+        assert outcome["status"] == "error"
+        assert "error" not in outcome and "faults" not in outcome
+        failure = FailureRecord.from_dict(outcome["failure"])
+        assert failure.injected is injected
+        assert failure.error_type == (
+            "InjectedFault" if injected else "RuntimeError")
 
     def test_progress_telemetry(self):
         events = []
@@ -351,7 +389,11 @@ class TestExecutor:
         cells = _cells(systems=("CAML",))
         item = _Pending(0, cells[0], "k0", attempts=1)
         results = [None]
-        executor._quarantine(item, results, "")   # empty error string
+        # an exception with an empty message
+        failure = FailureRecord.from_exception(
+            RuntimeError(), seam="cell", attempt=1,
+        )
+        executor._quarantine(item, results, failure)
         assert results[0].failed
         assert "unknown error" in results[0].note
 
@@ -492,7 +534,7 @@ class TestPooledScheduler:
         monkeypatch.setattr(runner_mod, "run_single", fail_caml_once)
         executor = CampaignExecutor(
             workers=2,
-            policy=RetryPolicy(max_retries=2, retry_backoff_s=0.0),
+            policy=RetryPolicy(max_retries=2),
         )
         store = executor.run(cells)
         # the retry ran in the SAME pool: no rebuild, and workers

@@ -16,12 +16,10 @@ from repro.runtime import (
     CampaignExecutor,
     CellSpec,
     ResultCache,
-    RetryPolicy,
     ShardCoordinator,
     canonical_state_bytes,
     partition_cells,
 )
-from repro.runtime.executor import backoff_jitter
 from repro.runtime.shard import (
     ShardPolicy,
     coordinator_path,
@@ -229,45 +227,6 @@ class TestFaultSeams:
         assert canonical_state_bytes(
             coordinator.merged.state, mask_energy_source=True,
         ) == ref
-
-
-class TestBackoffJitter:
-    #: the pinned per-seed jitter streams — any change to the hash
-    #: construction breaks cross-shard de-stampeding replays
-    PINNED = {
-        0: [0.76211940249, 0.915532116217, 0.032724787572,
-            0.267095154643, 0.323579776366],
-        7: [0.173932735352, 0.152430054748, 0.333242579781,
-            0.0507201213, 0.111954950442],
-    }
-
-    @pytest.mark.parametrize("seed", sorted(PINNED))
-    def test_jitter_sequence_is_pinned_per_seed(self, seed):
-        got = [backoff_jitter(seed, draw) for draw in range(1, 6)]
-        assert got == pytest.approx(self.PINNED[seed], abs=1e-12)
-
-    def test_streams_differ_across_seeds(self):
-        assert [backoff_jitter(0, d) for d in range(1, 6)] != \
-            [backoff_jitter(1, d) for d in range(1, 6)]
-
-    def test_backoff_delay_is_deterministic_and_bounded(self):
-        delays = []
-        for _ in range(2):
-            policy = RetryPolicy(retry_backoff_s=1.0, jitter_ratio=0.5,
-                                 jitter_seed=7)
-            delays.append([policy.backoff_delay(n) for n in (1, 2, 3)])
-        assert delays[0] == delays[1]          # same seed -> same stream
-        for n, delay in zip((1, 2, 3), delays[0]):
-            base = 1.0 * n
-            assert base * 0.5 <= delay < base * 1.5
-
-    def test_zero_ratio_keeps_exact_linear_backoff(self):
-        policy = RetryPolicy(retry_backoff_s=0.5, jitter_ratio=0.0)
-        assert [policy.backoff_delay(n) for n in (1, 2)] == [0.5, 1.0]
-
-    def test_jitter_ratio_is_validated(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_ratio=1.5)
 
 
 class TestCacheDedupRace:
