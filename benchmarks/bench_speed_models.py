@@ -4,8 +4,11 @@ Fits the tree family (DT, RF, ET, GBM) twice on the same synthetic
 table — once with the exact sort-based split search, once with the
 histogram-binned builder — and records fits/s, rows/s and cells/s plus
 the binned-vs-exact prediction agreement into ``BENCH_models.json``.
-kNN rides along as the inference-bound member of the zoo: its number is
-prediction throughput through the blocked pairwise kernel.
+Prediction throughput on the held-out rows is recorded for the
+ensembles (RF/ET/GBM, through the flat forest descent) and for kNN, the
+inference-bound member of the zoo (through the blocked pairwise kernel).
+The RF's probabilities must equal the sum of its trees' probabilities,
+added in tree order, bit for bit.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the grid for CI; the committed artefact
 comes from a full local run, where the binned RF/GBM fits clear 5x.
@@ -70,9 +73,15 @@ def _run_models_bench():
             exact = make(None).fit(X, y)
         with Stopwatch(WallClock()) as w_binned:
             binned = make(MAX_BINS).fit(X, y)
-        pred_e = exact.predict(Xt)
+        with Stopwatch(WallClock()) as w_pred:
+            pred_e = exact.predict(Xt)
         pred_b = binned.predict(Xt)
         t_e, t_b = w_exact.elapsed, w_binned.elapsed
+        if name == "RF":
+            by_tree = sum(t.predict_proba(Xt) for t in exact.estimators_)
+            assert np.array_equal(exact.predict_proba(Xt),
+                                  by_tree / N_TREES), \
+                "RF probabilities must be its trees' sum in tree order"
         results[name] = {
             "acc_binned": round(float((pred_b == yt).mean()), 4),
             "acc_exact": round(float((pred_e == yt).mean()), 4),
@@ -84,6 +93,9 @@ def _run_models_bench():
             "rows_per_s": round(N_ROWS / t_b, 1),
             "speedup": round(t_e / t_b, 2),
         }
+        if name != "DT":
+            results[name]["predict_rows_per_s"] = round(
+                len(Xt) / w_pred.elapsed, 1)
     # kNN: all the cost is inference through the blocked pairwise kernel
     knn = KNeighborsClassifier(n_neighbors=5)
     with Stopwatch(WallClock()) as w_fit:
@@ -125,8 +137,10 @@ def test_speed_models(benchmark):
          + format_table(
              ["model", "exact s", "binned s", "speedup", "agree",
               "rows/s", "fits/s"], rows)
-         + f"\n\nkNN predict: {knn['predict_rows_per_s']:,.0f} rows/s "
-           f"(fit {knn['fit_s']:.3f}s)\nwrote {path}")
+         + "\n\npredict rows/s: " + ", ".join(
+             f"{name} {results[name]['predict_rows_per_s']:,.0f}"
+             for name in ("RF", "ET", "GBM", "kNN"))
+         + f"\nkNN fit {knn['fit_s']:.3f}s\nwrote {path}")
     for name in ("RF", "GBM"):
         r = results[name]
         assert r["speedup"] >= MIN_SPEEDUP, \

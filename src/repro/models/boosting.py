@@ -6,7 +6,13 @@ import numpy as np
 
 from repro.models.base import BaseEstimator, ClassifierMixin
 from repro.models.binning import FeatureBinner
-from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.models.tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    as_rows,
+    forest_inference_flops,
+    forest_leaf_values,
+)
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_is_fitted, check_X_y
 
@@ -81,11 +87,12 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         return self
 
     def _raw_scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = as_rows(X)
         raw = np.tile(self.init_raw_, (X.shape[0], 1))
-        for stage in self.stages_:
-            for c, tree in enumerate(stage):
-                raw[:, c] += self.learning_rate * tree.predict(X)
+        k = raw.shape[1]  # every stage holds one tree per class
+        trees = [tree for stage in self.stages_ for tree in stage]
+        for i, value in enumerate(forest_leaf_values(trees, X)):
+            raw[:, i % k] += self.learning_rate * value[:, 0]
         return raw
 
     def predict_proba(self, X) -> np.ndarray:
@@ -97,9 +104,8 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
 
     def inference_flops(self, n_samples: int) -> float:
         check_is_fitted(self, "stages_")
-        return float(
-            sum(t.inference_flops(n_samples) for s in self.stages_ for t in s)
-        )
+        return forest_inference_flops(
+            [t for stage in self.stages_ for t in stage], n_samples)
 
 
 class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
@@ -155,20 +161,15 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
 
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "estimators_")
-        X = np.asarray(X, dtype=float)
+        X = as_rows(X)
         k = len(self.classes_)
         votes = np.zeros((X.shape[0], k))
-        for tree, alpha in zip(self.estimators_, self.estimator_weights_):
-            proba = np.zeros_like(votes)
-            local = tree.predict_proba(X)
-            for j, c in enumerate(tree.classes_):
-                proba[:, int(c)] = local[:, j]
+        for alpha, proba in zip(self.estimator_weights_,
+                                forest_leaf_values(self.estimators_, X, k)):
             votes += alpha * proba
         total = votes.sum(axis=1, keepdims=True)
         return votes / np.maximum(total, 1e-12)
 
     def inference_flops(self, n_samples: int) -> float:
         check_is_fitted(self, "estimators_")
-        return float(
-            sum(t.inference_flops(n_samples) for t in self.estimators_)
-        )
+        return forest_inference_flops(self.estimators_, n_samples)

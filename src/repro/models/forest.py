@@ -12,7 +12,13 @@ import numpy as np
 
 from repro.models.base import BaseEstimator, ClassifierMixin, RegressorMixin
 from repro.models.binning import FeatureBinner
-from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.models.tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    as_rows,
+    forest_inference_flops,
+    forest_leaf_values,
+)
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_is_fitted, check_X_y
 
@@ -69,7 +75,7 @@ class _BaseForest(BaseEstimator):
 
     def inference_flops(self, n_samples: int) -> float:
         check_is_fitted(self, "estimators_")
-        return float(sum(t.inference_flops(n_samples) for t in self.estimators_))
+        return forest_inference_flops(self.estimators_, n_samples)
 
 
 class RandomForestClassifier(_BaseForest, ClassifierMixin):
@@ -94,19 +100,11 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
 
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "estimators_")
-        X = np.asarray(X, dtype=float)
-        # A bootstrap sample can miss a rare class entirely, so trees may
-        # know fewer classes than the forest: align every tree's columns
-        # onto the forest's class codes before averaging.
+        X = as_rows(X)
         k = len(self.classes_)
         out = np.zeros((X.shape[0], k))
-        for tree in self.estimators_:
-            proba = tree.predict_proba(X)
-            if proba.shape[1] == k:
-                out += proba
-            else:
-                for j, code in enumerate(tree.classes_):
-                    out[:, int(code)] += proba[:, j]
+        for proba in forest_leaf_values(self.estimators_, X, k):
+            out += proba
         return out / len(self.estimators_)
 
 
@@ -134,9 +132,7 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
     """
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
+        X = as_rows(X)
         y = np.asarray(y, dtype=float).ravel()
         self._fit_forest(X, y)
         return self
@@ -152,14 +148,15 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
             random_state=seed,
         )
 
-    def predict(self, X) -> np.ndarray:
+    def _tree_predictions(self, X) -> np.ndarray:
+        """The ``(trees, rows)`` matrix of every tree's prediction."""
         check_is_fitted(self, "estimators_")
-        X = np.asarray(X, dtype=float)
-        preds = np.stack([t.predict(X) for t in self.estimators_])
-        return preds.mean(axis=0)
+        return np.stack([v[:, 0] for v in
+                         forest_leaf_values(self.estimators_, as_rows(X))])
+
+    def predict(self, X) -> np.ndarray:
+        return self._tree_predictions(X).mean(axis=0)
 
     def predict_with_std(self, X) -> tuple[np.ndarray, np.ndarray]:
-        check_is_fitted(self, "estimators_")
-        X = np.asarray(X, dtype=float)
-        preds = np.stack([t.predict(X) for t in self.estimators_])
+        preds = self._tree_predictions(X)
         return preds.mean(axis=0), preds.std(axis=0)

@@ -25,9 +25,18 @@ explicit work stack, after ivalice's ``_Tree``/``_Stack``):
   slot, bin, class)``, so the per-node Python overhead that dominates deep
   trees is amortized over the whole level.
 
-Binned trees still store real-valued thresholds, so prediction always runs
-on raw matrices; ensembles additionally reuse one shared binned matrix
-across all their trees (see ``forest.py`` / ``boosting.py``).
+Binned trees still store real-valued thresholds, so prediction runs on raw
+matrices; ensembles reuse one shared binned matrix across all their trees
+at fit time (see ``forest.py`` / ``boosting.py``).  Every prediction, one
+tree's or a whole ensemble's, is one descent (:func:`_descend`): a block
+of trees' node arrays is concatenated into one flat table and every
+(tree, row) pair walks it together, one level per step.  Ensembles
+(:func:`forest_leaf_values`) descend blocks of at most
+``_SCAN_BLOCK_ELEMENTS`` pairs and add the per-tree outputs in tree
+order, as a loop over the trees would, so predictions are bit-identical
+to it.  The table is rebuilt on every call and nothing is cached on the
+model: fitted models pickle to the same bytes before and after a
+predict.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ _HIST_CHUNK_ELEMENTS = 2**23
 #: block's working set in a core's L2 cache.  Blocks sized to the
 #: histogram budget above made 20k-row nodes about 25% slower than a scan
 #: of one feature at a time; at this size they are about 10% faster.
+#: Forest prediction descends at most this many (tree, row) pairs at once.
 _SCAN_BLOCK_ELEMENTS = 2**17
 
 
@@ -140,17 +150,8 @@ class _Tree:
         self.depth = self.depth[:n]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Vectorised level-wise descent; returns the leaf id per row."""
-        nodes = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[nodes] != _LEAF
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            cur = nodes[idx]
-            feat = self.feature[cur]
-            go_left = X[idx, feat] <= self.threshold[cur]
-            nodes[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active[idx] = self.feature[nodes[idx]] != _LEAF
-        return nodes
+        """Leaf id per row: the one-tree case of :func:`_descend`."""
+        return _descend([self], X)[0]
 
     def apply_binned(self, Xb: np.ndarray) -> np.ndarray:
         """Leaf ids for a pre-quantized code matrix (training-time fast
@@ -160,26 +161,89 @@ class _Tree:
             raise ValueError(
                 "apply_binned requires a tree fitted with binning enabled"
             )
-        nodes = np.zeros(Xb.shape[0], dtype=np.int64)
-        active = self.feature[nodes] != _LEAF
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            cur = nodes[idx]
-            feat = self.feature[cur]
-            go_left = Xb[idx, feat] <= self.bin_threshold[cur]
-            nodes[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active[idx] = self.feature[nodes[idx]] != _LEAF
-        return nodes
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature == _LEAF))
+        return _descend([self], Xb, binned=True)[0]
 
     def max_depth(self) -> int:
         """Depth of the deepest node, tracked during construction —
         O(1), never a per-call walk (``repro.serving`` prices every
-        request through ``inference_flops`` -> ``get_depth``)."""
+        request through ``inference_flops``)."""
         return self.max_depth_
+
+
+def _descend(tables, X, binned=False) -> np.ndarray:
+    """Leaf of every (tree, row) pair, as a ``(trees, rows)`` matrix of
+    node ids into the trees' concatenated node arrays.
+
+    The trees become one flat node table (one ``concatenate`` per array,
+    child links shifted by their tree's root offset) and all pairs
+    descend it together, one level per step; a pair leaves the frontier
+    once it reaches a leaf.  ``binned`` descends a code matrix on the
+    integer bin thresholds instead of the real ones.
+    """
+    sizes = np.array([t.n_nodes for t in tables], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+    shift = np.repeat(roots, sizes)
+    feature = np.concatenate([t.feature for t in tables])
+    threshold = np.concatenate([t.bin_threshold if binned else t.threshold
+                                for t in tables])
+    left = np.concatenate([t.left for t in tables]) + shift
+    right = np.concatenate([t.right for t in tables]) + shift
+    n = X.shape[0]
+    leaves = np.repeat(roots, n)
+    pair = np.flatnonzero(feature[leaves] != _LEAF)
+    node = leaves[pair]
+    row = pair % max(n, 1)
+    while pair.size:
+        go_left = X[row, feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+        inner = feature[node] != _LEAF
+        leaves[pair[~inner]] = node[~inner]
+        pair, node, row = pair[inner], node[inner], row[inner]
+    return leaves.reshape(len(tables), n)
+
+
+def _class_values(tree, n_classes: int) -> np.ndarray:
+    """A classifier tree's leaf values on the ensemble's class codes
+    ``0..n_classes-1``: a bootstrap can miss a class, and its column
+    then reads 0."""
+    value = tree.tree_.value
+    if value.shape[1] == n_classes:
+        return value
+    out = np.zeros((len(value), n_classes))
+    out[:, tree.classes_.astype(np.int64)] = value
+    return out
+
+
+def forest_leaf_values(trees, X, n_classes=None):
+    """Each fitted tree's leaf values for every row of ``X``, in tree
+    order: yields one ``(rows, width)`` array per tree.
+
+    Trees are descended together in blocks of at most
+    ``_SCAN_BLOCK_ELEMENTS`` (tree, row) pairs, so the working set stays
+    bounded however many trees or rows there are.  With ``n_classes``
+    the trees are classifiers over the ensemble's class codes (see
+    :func:`_class_values`).  Nothing is cached: the flat table is built
+    per call and the trees are left untouched.
+    """
+    tables = [t.tree_ for t in trees]
+    values = [t.tree_.value if n_classes is None
+              else _class_values(t, n_classes) for t in trees]
+    step = max(1, _SCAN_BLOCK_ELEMENTS // max(X.shape[0], 1))
+    for t0 in range(0, len(trees), step):
+        leaves = _descend(tables[t0:t0 + step], X)
+        yield from np.concatenate(values[t0:t0 + step])[leaves]
+
+
+def forest_inference_flops(trees, n_samples: int) -> float:
+    """~3 ops per level descended per sample, summed tree by tree."""
+    return float(sum(3.0 * n_samples * max(1, t.tree_.max_depth_)
+                     for t in trees))
+
+
+def as_rows(X) -> np.ndarray:
+    """``X`` as a float matrix, a 1-D input read as one feature column."""
+    X = np.asarray(X, dtype=float)
+    return X.reshape(-1, 1) if X.ndim == 1 else X
 
 
 class _Stack:
@@ -678,14 +742,9 @@ class _BaseDecisionTree(BaseEstimator):
         check_is_fitted(self, "tree_")
         return self.tree_.max_depth()
 
-    def get_n_leaves(self) -> int:
-        check_is_fitted(self, "tree_")
-        return self.tree_.n_leaves
-
     def inference_flops(self, n_samples: int) -> float:
-        """~3 ops per level descended per sample."""
         check_is_fitted(self, "tree_")
-        return 3.0 * n_samples * max(1, self.get_depth())
+        return forest_inference_flops([self], n_samples)
 
 
 def _random_bin_cuts(nl_all, sizes, min_leaf, rng):
@@ -1024,20 +1083,14 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
 
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "tree_")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        leaves = self.tree_.apply(X)
-        return self.tree_.value[leaves]
+        return self.tree_.value[self.tree_.apply(as_rows(X))]
 
 
 class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
     """CART regressor minimising within-node variance (MSE criterion)."""
 
     def fit(self, X, y, sample_weight=None):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
+        X = as_rows(X)
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError("X and y length mismatch")
@@ -1227,11 +1280,7 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
 
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, "tree_")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        leaves = self.tree_.apply(X)
-        return self.tree_.value[leaves][:, 0]
+        return self.tree_.value[self.tree_.apply(as_rows(X))][:, 0]
 
     def predict_binned(self, Xb) -> np.ndarray:
         """Predict on a pre-quantized code matrix (training-time path

@@ -97,8 +97,10 @@ class AutoGluonModel:
         weights1 = self.weights[:n1]
         weights2 = self._layer2_weights
         need_layer2 = bool(stack.layer2_) and np.any(weights2 > 0)
-        # layer-1 probabilities, aligned onto the stack's class order
-        blocks = [stack._layer1_proba(bag, X) for bag in stack.layer1_]
+        # layer-1 probabilities, aligned onto the stack's class order; a
+        # bag runs only if it is selected or layer 2 needs its outputs
+        blocks = [stack._layer1_proba(bag, X) if need_layer2 or w > 0
+                  else None for w, bag in zip(weights1, stack.layer1_)]
         out = np.zeros((X.shape[0], len(self.classes_)))
         for w, block in zip(weights1, blocks):
             if w > 0:

@@ -35,7 +35,7 @@ class TestClassifier:
         X, y = binary_data
         tree = DecisionTreeClassifier(max_leaf_nodes=4,
                                       random_state=0).fit(X, y)
-        assert tree.get_n_leaves() <= 4
+        assert np.sum(tree.tree_.feature == -1) <= 4
 
     def test_proba_rows_sum_to_one(self, split_multiclass):
         X_tr, X_te, y_tr, _ = split_multiclass
@@ -78,7 +78,7 @@ class TestClassifier:
         X = np.ones((20, 3))
         y = np.array([0, 1] * 10)
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        assert tree.get_n_leaves() == 1
+        assert np.sum(tree.tree_.feature == -1) == 1
 
     def test_single_class(self):
         X = np.random.default_rng(0).normal(size=(10, 2))

@@ -202,6 +202,45 @@ class TestAutoGluon:
                    categorical_mask=ds.categorical_mask)
         assert system.model_.weights.sum() == pytest.approx(1.0)
 
+    def test_unselected_layer1_bag_is_never_run(self):
+        """With no layer-2 weight, a zero-weight layer-1 bag is skipped,
+        as ``inference_flops`` already assumes."""
+        from repro.ensemble.stacking import StackingEnsemble
+        from repro.models import (
+            GradientBoostingClassifier,
+            LogisticRegression,
+            RandomForestClassifier,
+        )
+        from repro.systems.autogluon import AutoGluonModel
+
+        X, y = make_classification(120, 5, 2, random_state=0)
+        stack = StackingEnsemble([
+            ("lr", LogisticRegression()),
+            ("gbm", GradientBoostingClassifier(n_estimators=3,
+                                               random_state=0)),
+            ("rf", RandomForestClassifier(n_estimators=3, random_state=0)),
+        ], n_folds=2, max_layer2=2, random_state=0).fit(X, y)
+        assert len(stack.layer1_) == 3 and stack.layer2_
+        weights = np.zeros(len(stack.layer1_) + len(stack.layer2_))
+        weights[[0, 2]] = 0.5
+        model = AutoGluonModel(stack, weights)
+        out = np.zeros((len(X), 2))
+        for w, bag in zip(weights, stack.layer1_):
+            if w > 0:
+                out += w * stack._layer1_proba(bag, X)
+        expected = out / np.maximum(out.sum(axis=1, keepdims=True), 1e-12)
+        skipped = stack.layer1_[1]
+
+        def never(X):
+            raise AssertionError("an unselected layer-1 bag was run")
+
+        skipped.predict_proba = never
+        assert np.array_equal(model.predict_proba(X), expected)
+        # a positive layer-2 weight needs every layer-1 output again
+        model.weights[len(stack.layer1_)] = 0.1
+        with pytest.raises(AssertionError, match="unselected"):
+            model.predict_proba(X)
+
 
 class TestAutoSklearn:
     def test_returns_caruana_ensemble(self, ds):
